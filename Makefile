@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay in sync.
 GO ?= go
 
-.PHONY: all build vet fmt test race race-collective race-serve race-fault race-client race-spill race-place bench bench-collective ci
+.PHONY: all build vet fmt test perfbench race race-collective race-serve race-fault race-client race-spill race-place bench bench-collective ci
 
 all: build
 
@@ -17,6 +17,12 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+# The benchmark (perfbench/) is a module of its own, so `go test ./...`
+# at the root does not enter it; vet and test it here so a library API
+# change that breaks the benchmark fails the build.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/mpool ./... -short
@@ -97,4 +103,4 @@ bench-collective:
 	$(GO) run ./cmd/drxbench -benchjson BENCH_collective.json
 	@cat BENCH_collective.json
 
-ci: build vet fmt test race race-collective race-serve race-fault race-client race-spill race-place bench bench-collective
+ci: build vet fmt test perfbench race race-collective race-serve race-fault race-client race-spill race-place bench bench-collective

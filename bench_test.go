@@ -1,8 +1,8 @@
 // Root benchmark harness: one testing.B target per reproduced figure /
-// experiment (DESIGN.md §4). Each benchmark drives the same code as
-// cmd/drxbench, so `go test -bench=.` regenerates every table the
-// harness prints; custom metrics carry the simulated I/O costs that
-// wall-clock time alone cannot show.
+// experiment (README.md quotes the tables). Each benchmark drives the
+// same code as cmd/drxbench, so `go test -bench=.` regenerates every
+// table the harness prints; custom metrics carry the simulated I/O
+// costs that wall-clock time alone cannot show.
 package drxmp_test
 
 import (

@@ -1,5 +1,6 @@
 // Command drxbench regenerates every figure and experiment of the
-// reproduction (see DESIGN.md §4 and EXPERIMENTS.md).
+// reproduction (README.md quotes each experiment's table in the
+// section of the mechanism it measures).
 //
 // Usage:
 //

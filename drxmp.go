@@ -158,10 +158,10 @@ type Tuning struct {
 	// Every rank must pass the same value.
 	AdaptiveIO bool
 	// Placement selects the collective aggregation-domain placement
-	// policy: "" (the default) keeps the historical byte arithmetic —
-	// byte- and accounting-identical to the pre-policy stack —
-	// PlacementByteCyclic names the same arithmetic as an explicit
-	// policy, PlacementZoneCurve carves domains out of whole chunks
+	// policy: "" (the default) is the byte-cyclic stripe arithmetic
+	// without flush election, PlacementByteCyclic names the same
+	// carving as an explicit policy (with election),
+	// PlacementZoneCurve carves domains out of whole chunks
 	// ordered along a zone (Morton) curve, and PlacementCacheAffinity
 	// assigns every chunk a sticky aggregator from a static zone-curve
 	// cut of the chunk grid, so repeated collectives re-elect the same
@@ -241,9 +241,9 @@ type Options struct {
 	Tuning
 }
 
-// OpenOptions configures OpenWith. Unlike the legacy positional Open,
-// it can set every tuning knob at open time, and its shape mirrors
-// Options so create-vs-open call sites stay symmetric.
+// OpenOptions configures OpenWith. It can set every tuning knob at
+// open time, and its shape mirrors Options so create-vs-open call
+// sites stay symmetric.
 type OpenOptions struct {
 	// FS configures the backing parallel file system. The backend is
 	// forced to Disk (only disk-backed arrays can be re-opened) and a
@@ -271,7 +271,7 @@ type File struct {
 	kind        zone.Kind
 	cyclicBlock int
 	diskBacked  bool
-	par         int // Parallelism knob (see Options.Parallelism)
+	tuning      Tuning // the validated knob block last applied
 
 	decomp *zone.Decomp // cached; invalidated by extensions
 }
@@ -372,7 +372,6 @@ func Create(c *cluster.Comm, path string, opts Options) (*File, error) {
 		kind:        opts.Decomp,
 		cyclicBlock: opts.CyclicBlock,
 		diskBacked:  fsOpts.Backend == pfs.Disk,
-		par:         opts.Parallelism,
 	}
 	if err := f.applyTuning(opts.Tuning); err != nil {
 		// The one failing knob is the spill-tier open, which is
@@ -412,9 +411,9 @@ func Create(c *cluster.Comm, path string, opts Options) (*File, error) {
 
 // OpenWith collectively opens an existing disk-backed array
 // (DRXMP_Open): rank 0 reads the .xmd file and broadcasts it; every
-// process installs its replica. Unlike the legacy Open it accepts the
-// full Tuning block, so every knob a Create can set is available at
-// open time too. Validation failures wrap ErrBadOptions.
+// process installs its replica. It accepts the full Tuning block, so
+// every knob a Create can set is available at open time too.
+// Validation failures wrap ErrBadOptions.
 func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 	if opts.CyclicBlock < 0 {
 		return nil, fmt.Errorf("%w: negative CyclicBlock %d", ErrBadOptions, opts.CyclicBlock)
@@ -464,7 +463,6 @@ func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 		kind:        opts.Decomp,
 		cyclicBlock: opts.CyclicBlock,
 		diskBacked:  true,
-		par:         opts.Parallelism,
 	}
 	if err := f.applyTuning(opts.Tuning); err != nil {
 		// Same uniform-error reasoning as in Create.
@@ -474,15 +472,6 @@ func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 		return nil, err
 	}
 	return f, c.Barrier()
-}
-
-// Open collectively opens an existing disk-backed array with the
-// legacy positional signature.
-//
-// Deprecated: use OpenWith, which can also set the tuning knobs at
-// open time. Open remains as a thin wrapper so existing callers build.
-func Open(c *cluster.Comm, path string, fsOpts pfs.Options, kind zone.Kind, cyclicBlock int) (*File, error) {
-	return OpenWith(c, path, OpenOptions{FS: fsOpts, Decomp: kind, CyclicBlock: cyclicBlock})
 }
 
 // Close collectively closes the array (DRXMP_Close). Every rank first
@@ -560,39 +549,19 @@ func (f *File) IO() *mpiio.File { return f.io }
 // resolved worker counts — see Parallelism/CollectiveParallelism for
 // those). OpenWith/Create round-trip: the Tuning passed in is the
 // Tuning read back.
-func (f *File) Tuning() Tuning {
-	var placement string
-	if f.io.Placement != nil {
-		placement = f.io.Placement.Name()
-	}
-	return Tuning{
-		Parallelism:           f.par,
-		CollectiveParallelism: f.io.Parallelism,
-		CBNodes:               f.io.CBNodes,
-		WriteBehindBytes:      f.io.WriteBehind,
-		CacheBytes:            f.io.CacheBytes,
-		ReadAheadBytes:        f.io.ReadAhead,
-		SpillBytes:            f.io.SpillBytes,
-		SpillPath:             f.io.SpillPath,
-		AdaptiveIO:            f.io.AdaptiveIO,
-		Placement:             placement,
-		NoFlushElection:       placement != "" && !f.io.ElectFlush,
-	}
-}
+func (f *File) Tuning() Tuning { return f.tuning }
 
 // placementPolicy resolves a Tuning.Placement name to its policy
-// object (nil for the empty name; validate has rejected anything
-// else).
+// object; the empty name is byte-cyclic, the default carving (validate
+// has rejected anything else).
 func placementPolicy(name string) place.Policy {
 	switch name {
-	case PlacementByteCyclic:
-		return place.ByteCyclic{}
 	case PlacementZoneCurve:
 		return place.ZoneCurve{}
 	case PlacementCacheAffinity:
 		return place.CacheAffinity{}
 	}
-	return nil
+	return place.ByteCyclic{}
 }
 
 // chunkGeom adapts the replicated array metadata to place.Geometry:
@@ -609,12 +578,9 @@ func (g chunkGeom) Coords(q int64) ([]int, error) { return g.m.Space.Inverse(q, 
 
 // knobs projects t onto the mpiio handle's parameter block, keeping
 // the handle's SieveSize (an IO()-level knob Tuning does not carry).
+// Flush election rides on a named placement only, so the default
+// byte-cyclic carving keeps the uncoordinated flush pattern.
 func (f *File) knobs(t Tuning) mpiio.TuningKnobs {
-	policy := placementPolicy(t.Placement)
-	var geom place.Geometry
-	if policy != nil {
-		geom = chunkGeom{m: f.m}
-	}
 	return mpiio.TuningKnobs{
 		Parallelism: t.CollectiveParallelism,
 		CBNodes:     t.CBNodes,
@@ -625,111 +591,40 @@ func (f *File) knobs(t Tuning) mpiio.TuningKnobs {
 		SpillBytes:  t.SpillBytes,
 		SpillPath:   t.SpillPath,
 		AdaptiveIO:  t.AdaptiveIO,
-		Placement:   policy,
-		PlaceGeom:   geom,
-		ElectFlush:  policy != nil && !t.NoFlushElection,
+		Placement:   placementPolicy(t.Placement),
+		PlaceGeom:   chunkGeom{m: f.m},
+		ElectFlush:  t.Placement != "" && !t.NoFlushElection,
 	}
 }
 
-// applyTuning installs t without validation or flush side effects
-// (open/create path: nothing can be buffered yet). A spill-tier open
-// failure surfaces here — it is the one knob with a resource behind
-// it.
+// applyTuning installs t without validation (open/create path: nothing
+// can be buffered yet, so no flush side effect fires). A spill-tier
+// open failure surfaces here — it is the one knob with a resource
+// behind it.
 func (f *File) applyTuning(t Tuning) error {
-	f.par = t.Parallelism
+	f.tuning = t
 	return f.io.ApplyTuning(f.knobs(t))
 }
 
 // SetTuning validates t (ErrBadOptions on rejection) and applies every
-// knob atomically — one call instead of six setters, so a serving tier
-// can swap a tenant's whole profile between requests. Disabling
-// write-behind (newly zero) flushes any buffered dirty extents first,
-// exactly as SetWriteBehind does, and returns the flush error. Every
-// rank must apply the same Tuning.
+// knob atomically, so a serving tier can swap a tenant's whole profile
+// between requests. Disabling write-behind (newly zero) flushes any
+// buffered dirty extents first and returns the flush error; dropping
+// CacheBytes to 0 releases the cached clean extents. Every rank must
+// apply the same Tuning.
 func (f *File) SetTuning(t Tuning) error {
 	if err := t.validate(); err != nil {
 		return err
 	}
-	f.par = t.Parallelism
-	return f.io.ApplyTuning(f.knobs(t))
-}
-
-// SetParallelism adjusts the per-rank I/O parallelism knob after open
-// (same semantics as Tuning.Parallelism). A wrapper over SetTuning.
-func (f *File) SetParallelism(n int) {
-	t := f.Tuning()
-	t.Parallelism = n
-	_ = f.SetTuning(t)
+	return f.applyTuning(t)
 }
 
 // Parallelism returns the resolved worker bound for independent I/O.
-func (f *File) Parallelism() int { return par.Resolve(f.par) }
-
-// SetCollectiveParallelism adjusts the per-rank collective I/O worker
-// bound after open (same semantics as Tuning.CollectiveParallelism).
-func (f *File) SetCollectiveParallelism(n int) {
-	t := f.Tuning()
-	t.CollectiveParallelism = n
-	_ = f.SetTuning(t)
-}
+func (f *File) Parallelism() int { return par.Resolve(f.tuning.Parallelism) }
 
 // CollectiveParallelism returns the resolved worker bound for the
 // two-phase collective stages.
 func (f *File) CollectiveParallelism() int { return par.Resolve(f.io.Parallelism) }
-
-// SetCBNodes adjusts the collective aggregator-count knob after open
-// (same semantics as Tuning.CBNodes; must match on every rank).
-func (f *File) SetCBNodes(n int) {
-	t := f.Tuning()
-	t.CBNodes = n
-	_ = f.SetTuning(t)
-}
-
-// CBNodes returns the collective aggregator-count knob (0 = adaptive).
-func (f *File) CBNodes() int { return f.io.CBNodes }
-
-// SetWriteBehind adjusts the write-behind policy after open (same
-// semantics as Tuning.WriteBehindBytes; must match on every rank).
-// Disabling (n == 0) flushes any buffered dirty extents first, so no
-// deferred bytes can linger behind a disabled cache.
-func (f *File) SetWriteBehind(n int64) error {
-	t := f.Tuning()
-	t.WriteBehindBytes = n
-	return f.SetTuning(t)
-}
-
-// WriteBehind returns the write-behind policy knob (0 = immediate).
-func (f *File) WriteBehind() int64 { return f.io.WriteBehind }
-
-// SetCacheBytes adjusts the read-cache memory budget after open (same
-// semantics as Tuning.CacheBytes; must match on every rank).
-// Disabling (n <= 0) releases the cached clean extents; deferred
-// write-behind extents stay buffered.
-func (f *File) SetCacheBytes(n int64) {
-	t := f.Tuning()
-	t.CacheBytes = max(n, 0)
-	_ = f.SetTuning(t)
-}
-
-// CacheBytes returns the read-cache memory budget (0 = disabled).
-func (f *File) CacheBytes() int64 { return f.io.CacheBytes }
-
-// SetReadAhead adjusts the sieve read-ahead after open (same semantics
-// as Tuning.ReadAheadBytes; must match on every rank).
-func (f *File) SetReadAhead(n int64) {
-	t := f.Tuning()
-	t.ReadAheadBytes = max(n, 0)
-	_ = f.SetTuning(t)
-}
-
-// ReadAhead returns the sieve read-ahead knob (0 = disabled).
-func (f *File) ReadAhead() int64 { return f.io.ReadAhead }
-
-// SpillBytes returns the spill-tier budget (0 = disabled).
-func (f *File) SpillBytes() int64 { return f.io.SpillBytes }
-
-// AdaptiveIO reports whether histogram-driven tuning is on.
-func (f *File) AdaptiveIO() bool { return f.io.AdaptiveIO }
 
 // CacheStats returns the cumulative unified-cache accounting for the
 // file (hits, misses, sieve fetches, evictions, absorbs, flushes).
@@ -749,7 +644,7 @@ func (f *File) Cached() int64 { return f.io.Cached() }
 // from the collective machinery's parallelism even when the
 // independent knob is left serial.
 func (f *File) syncWorkers() int {
-	w := par.Resolve(f.par)
+	w := par.Resolve(f.tuning.Parallelism)
 	if cw := par.Resolve(f.io.Parallelism); cw > w {
 		w = cw
 	}

@@ -1,7 +1,6 @@
 package drxmp_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -27,8 +26,8 @@ func optionsCreateDisk(c *cluster.Comm, path string, tuning drxmp.Tuning) (*drxm
 
 // TestServeOpenWithTuningRoundTrip pins that every knob OpenWith
 // accepts lands on the opened handle exactly (the knob-plumbing
-// guarantee of the Options redesign), and that the legacy positional
-// Open still works as a wrapper.
+// guarantee of the Options redesign), and that an OpenWith without
+// tuning applies none.
 func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "arr")
@@ -68,11 +67,11 @@ func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 		if got := f.Tuning(); got != want {
 			return fmt.Errorf("Tuning() = %+v, want %+v", got, want)
 		}
-		// The resolved accessors must agree with the raw knobs too.
-		if f.CBNodes() != want.CBNodes || f.WriteBehind() != want.WriteBehindBytes ||
-			f.CacheBytes() != want.CacheBytes || f.ReadAhead() != want.ReadAheadBytes {
-			return fmt.Errorf("resolved accessors diverge: cb=%d wb=%d cache=%d ra=%d",
-				f.CBNodes(), f.WriteBehind(), f.CacheBytes(), f.ReadAhead())
+		// The knobs must have landed on the MPI-IO handle too.
+		if io := f.IO(); io.CBNodes != want.CBNodes || io.WriteBehind != want.WriteBehindBytes ||
+			io.CacheBytes != want.CacheBytes || io.ReadAhead != want.ReadAheadBytes {
+			return fmt.Errorf("handle knobs diverge: cb=%d wb=%d cache=%d ra=%d",
+				io.CBNodes, io.WriteBehind, io.CacheBytes, io.ReadAhead)
 		}
 		got, err := f.ReadSectionFloat64s(full, drxmp.RowMajor)
 		if err != nil {
@@ -84,34 +83,27 @@ func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 			}
 		}
 
-		// Legacy positional Open still round-trips the data (with zero
-		// tuning).
+		// OpenWith without tuning still round-trips the data, with zero
+		// tuning.
 		if err := f.Close(); err != nil {
 			return err
 		}
-		f, err = drxmp.Open(c, path, pfs.Options{Servers: 2, StripeSize: 512}, 0, 0)
+		f, err = drxmp.OpenWith(c, path, drxmp.OpenOptions{FS: pfs.Options{Servers: 2, StripeSize: 512}})
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		if got := f.Tuning(); got != (drxmp.Tuning{}) {
-			return fmt.Errorf("legacy Open applied tuning %+v", got)
+			return fmt.Errorf("untuned OpenWith applied tuning %+v", got)
 		}
-		buf := make([]byte, full.Volume()*8)
-		if err := f.ReadSection(full, buf, drxmp.RowMajor); err != nil {
-			return err
-		}
-		want2 := make([]byte, full.Volume()*8)
-		f2, err := drxmp.OpenWith(c, path, drxmp.OpenOptions{FS: pfs.Options{Servers: 2, StripeSize: 512}})
+		got, err = f.ReadSectionFloat64s(full, drxmp.RowMajor)
 		if err != nil {
 			return err
 		}
-		defer f2.Close()
-		if err := f2.ReadSection(full, want2, drxmp.RowMajor); err != nil {
-			return err
-		}
-		if !bytes.Equal(buf, want2) {
-			return fmt.Errorf("legacy Open and OpenWith read different bytes")
+		for i := range vals {
+			if got[i] != vals[i] {
+				return fmt.Errorf("data mismatch at %d after untuned OpenWith: %v != %v", i, got[i], vals[i])
+			}
 		}
 		return nil
 	})

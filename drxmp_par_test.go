@@ -73,7 +73,11 @@ func TestParallelSerialSectionsIdentical(t *testing.T) {
 
 		// The files themselves must hold identical bytes: re-read the
 		// parallel-written file through the serial path.
-		parf.SetParallelism(-1)
+		tn := parf.Tuning()
+		tn.Parallelism = -1
+		if err := parf.SetTuning(tn); err != nil {
+			return err
+		}
 		got := make([]byte, n*n*8)
 		if err := parf.ReadSection(full, got, drxmp.RowMajor); err != nil {
 			return err

@@ -258,7 +258,7 @@ func TestReadCacheWarmAfterSync(t *testing.T) {
 }
 
 // TestReadCacheKnobPlumbing pins the drxmp-level wiring: options,
-// setters, accessors, Cached, CacheStats, and the
+// SetTuning, Tuning(), Cached, CacheStats, and the
 // disable-releases-clean-extents rule.
 func TestReadCacheKnobPlumbing(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
@@ -273,8 +273,8 @@ func TestReadCacheKnobPlumbing(t *testing.T) {
 			return err
 		}
 		defer f.Close()
-		if f.CacheBytes() != 1<<16 || f.ReadAhead() != 512 {
-			return fmt.Errorf("knobs = (%d, %d), want (65536, 512)", f.CacheBytes(), f.ReadAhead())
+		if tn := f.Tuning(); tn.CacheBytes != 1<<16 || tn.ReadAheadBytes != 512 {
+			return fmt.Errorf("knobs = (%d, %d), want (65536, 512)", tn.CacheBytes, tn.ReadAheadBytes)
 		}
 		box := drxmp.NewBox([]int{0, 0}, []int{8, 8})
 		data := rankData(0, box, 21)
@@ -301,9 +301,13 @@ func TestReadCacheKnobPlumbing(t *testing.T) {
 		if f.CacheStats().Hits == 0 {
 			return fmt.Errorf("warm re-read not a hit")
 		}
-		f.SetCacheBytes(0)
+		tn := f.Tuning()
+		tn.CacheBytes = 0
+		if err := f.SetTuning(tn); err != nil {
+			return err
+		}
 		if f.Cached() != 0 {
-			return fmt.Errorf("SetCacheBytes(0) left %d cached bytes", f.Cached())
+			return fmt.Errorf("disabling the cache left %d cached bytes", f.Cached())
 		}
 		if err := f.ReadSection(box, got, drxmp.RowMajor); err != nil {
 			return err
@@ -473,6 +477,11 @@ func TestDistArrayRefreshCached(t *testing.T) {
 			da.LocalData()[i] = 0xEE
 		}
 		if err := da.Refresh(); err != nil {
+			return err
+		}
+		// Refresh runs between RMA epochs: fence before reading other
+		// ranks' refreshed zones.
+		if err := da.Fence(); err != nil {
 			return err
 		}
 		if got, err := da.Get([]int{box.Lo[0], 0}); err != nil || got != seed[0] {

@@ -193,7 +193,7 @@ func TestCollectiveSchedulerOverlappingWrites(t *testing.T) {
 }
 
 // TestCBNodesKnob pins the drxmp-level plumbing of the aggregator
-// knob: option, setter, and accessor.
+// knob: option, SetTuning, and Tuning().
 func TestCBNodesKnob(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		f, err := drxmp.Create(c, "cbknob", drxmp.Options{
@@ -204,12 +204,14 @@ func TestCBNodesKnob(t *testing.T) {
 			return err
 		}
 		defer f.Close()
-		if got := f.CBNodes(); got != 3 {
-			return fmt.Errorf("CBNodes() = %d, want 3", got)
+		if got := f.Tuning().CBNodes; got != 3 {
+			return fmt.Errorf("Tuning().CBNodes = %d, want 3", got)
 		}
-		f.SetCBNodes(-1)
-		if got := f.CBNodes(); got != -1 {
-			return fmt.Errorf("after SetCBNodes(-1): %d, want -1", got)
+		if err := f.SetTuning(drxmp.Tuning{CBNodes: -1}); err != nil {
+			return err
+		}
+		if got := f.Tuning().CBNodes; got != -1 {
+			return fmt.Errorf("after SetTuning(CBNodes: -1): %d, want -1", got)
 		}
 		if got := f.IO().CBNodes; got != -1 {
 			return fmt.Errorf("IO().CBNodes = %d, want -1", got)

@@ -431,7 +431,7 @@ func TestDiskPersistenceParallel(t *testing.T) {
 	}
 	// Re-open with a different process count.
 	err = cluster.Run(3, func(c *cluster.Comm) error {
-		f, err := Open(c, path, pfs.Options{Servers: 3, StripeSize: 128, Dir: dir}, zone.Block, 0)
+		f, err := OpenWith(c, path, OpenOptions{FS: pfs.Options{Servers: 3, StripeSize: 128, Dir: dir}, Decomp: zone.Block})
 		if err != nil {
 			return err
 		}

@@ -202,7 +202,7 @@ func TestWriteBehindCloseFlushes(t *testing.T) {
 }
 
 // TestWriteBehindKnobPlumbing pins the drxmp-level wiring: option,
-// setter (disable flushes), accessor, and Dirty.
+// SetTuning (disable flushes), Tuning(), and Dirty.
 func TestWriteBehindKnobPlumbing(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		f, err := drxmp.Create(c, "wbknob", drxmp.Options{
@@ -213,8 +213,8 @@ func TestWriteBehindKnobPlumbing(t *testing.T) {
 			return err
 		}
 		defer f.Close()
-		if got := f.WriteBehind(); got != -1 {
-			return fmt.Errorf("WriteBehind() = %d, want -1", got)
+		if got := f.Tuning().WriteBehindBytes; got != -1 {
+			return fmt.Errorf("Tuning().WriteBehindBytes = %d, want -1", got)
 		}
 		box := drxmp.NewBox([]int{0, 0}, []int{8, 8})
 		data := rankData(0, box, 9)
@@ -224,14 +224,16 @@ func TestWriteBehindKnobPlumbing(t *testing.T) {
 		if f.Dirty() == 0 {
 			return fmt.Errorf("no dirty bytes buffered under close-only write-behind")
 		}
-		if err := f.SetWriteBehind(0); err != nil { // disable: must flush
+		tn := f.Tuning()
+		tn.WriteBehindBytes = 0
+		if err := f.SetTuning(tn); err != nil { // disable: must flush
 			return err
 		}
 		if f.Dirty() != 0 {
-			return fmt.Errorf("SetWriteBehind(0) left %d dirty bytes", f.Dirty())
+			return fmt.Errorf("disabling write-behind left %d dirty bytes", f.Dirty())
 		}
-		if got := f.WriteBehind(); got != 0 {
-			return fmt.Errorf("after SetWriteBehind(0): %d", got)
+		if got := f.Tuning().WriteBehindBytes; got != 0 {
+			return fmt.Errorf("after disabling write-behind: %d", got)
 		}
 		got := make([]byte, box.Volume()*8)
 		if err := f.ReadSection(box, got, drxmp.RowMajor); err != nil {

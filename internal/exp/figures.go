@@ -1,5 +1,5 @@
-// Package exp implements the reproduction experiments indexed in
-// DESIGN.md §4: the paper's three figures as exact structural
+// Package exp implements the reproduction experiments described in
+// README.md: the paper's three figures as exact structural
 // reproductions, and experiments E1–E10 turning the paper's performance
 // claims into measured tables. Both cmd/drxbench and the root
 // bench_test.go drive these functions, so the harness and the `go test

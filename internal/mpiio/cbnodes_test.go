@@ -10,44 +10,33 @@ import (
 	"drxmp/internal/place"
 )
 
-// TestCBNodesResolution pins the aggregator-count rule: adaptive
-// clamp(totalBytes/stripe, 1, nranks) by default, fixed (clamped)
-// when positive, full fan-out when negative.
+// TestCBNodesResolution pins the aggregator-count rule of the default
+// byte-cyclic carving: adaptive clamp(totalBytes/stripe, 1, nranks)
+// by default, fixed (clamped) when positive, full fan-out when
+// negative.
 func TestCBNodesResolution(t *testing.T) {
-	err := cluster.Run(4, func(c *cluster.Comm) error {
-		fs, err := pfs.Create("cbn", pfs.Options{Servers: 2, StripeSize: 1 << 10})
-		if err != nil {
-			return err
+	cases := []struct {
+		cbNodes    int
+		totalBytes int64
+		want       int
+	}{
+		{0, 0, 1},           // nothing to move: one aggregator
+		{0, 512, 1},         // sub-stripe: one aggregator
+		{0, 2048, 2},        // two stripes: two aggregators
+		{0, 1 << 20, 4},     // large: clamped to nranks
+		{2, 1, 2},           // fixed override ignores size
+		{2, 1 << 20, 2},     // fixed override ignores size
+		{9, 1, 4},           // fixed override clamped to nranks
+		{-1, 1, 4},          // forced full fan-out
+		{-1, 1 << 20, 4},    // forced full fan-out
+		{0, 3*1024 + 17, 3}, // truncating division
+	}
+	for _, tc := range cases {
+		req := place.Req{TotalBytes: tc.totalBytes, CBNodes: tc.cbNodes, Ranks: 4, Stripe: 1 << 10}
+		if got := (place.ByteCyclic{}).Carve(req).N(); got != tc.want {
+			t.Errorf("aggregators for %d bytes with CBNodes=%d = %d, want %d",
+				tc.totalBytes, tc.cbNodes, got, tc.want)
 		}
-		defer fs.Close()
-		f := Open(c, fs)
-		cases := []struct {
-			cbNodes    int
-			totalBytes int64
-			want       int
-		}{
-			{0, 0, 1},           // nothing to move: one aggregator
-			{0, 512, 1},         // sub-stripe: one aggregator
-			{0, 2048, 2},        // two stripes: two aggregators
-			{0, 1 << 20, 4},     // large: clamped to nranks
-			{2, 1, 2},           // fixed override ignores size
-			{2, 1 << 20, 2},     // fixed override ignores size
-			{9, 1, 4},           // fixed override clamped to nranks
-			{-1, 1, 4},          // forced full fan-out
-			{-1, 1 << 20, 4},    // forced full fan-out
-			{0, 3*1024 + 17, 3}, // truncating division
-		}
-		for _, tc := range cases {
-			f.CBNodes = tc.cbNodes
-			if got := f.cbNodes(tc.totalBytes); got != tc.want {
-				return fmt.Errorf("cbNodes(%d) with CBNodes=%d = %d, want %d",
-					tc.totalBytes, tc.cbNodes, got, tc.want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -65,9 +54,9 @@ func (g rowGeom) Coords(q int64) ([]int, error) {
 }
 
 // TestCBNodesPlacementPolicyDomainCount pins the placement/adaptive-clamp
-// interaction: with a policy active, the aggregator count comes from
-// the policy's own domain structure (chunk groups), NOT from the
-// historical clamp(totalBytes/stripe, 1, nranks). A tiny payload
+// interaction: with a chunk-aware policy, the aggregator count comes
+// from the policy's own domain structure (chunk groups), NOT from the
+// default byte-cyclic clamp(totalBytes/stripe, 1, nranks). A tiny payload
 // spread over many chunks used to collapse to one aggregator; a
 // chunk-aware policy must keep one domain per rank as long as there
 // are chunks to go around.
@@ -91,11 +80,11 @@ func TestCBNodesPlacementPolicyDomainCount(t *testing.T) {
 		runsByRank := [][]pfs.Run{runs, nil, nil, nil}
 		lo, hi, total := int64(0), int64(7*128+1), int64(8)
 
-		if got := f.cbNodes(total); got != 1 {
-			return fmt.Errorf("byte clamp sanity: cbNodes(%d) = %d, want 1", total, got)
+		if f.Placement != (place.ByteCyclic{}) {
+			return fmt.Errorf("Open installed placement %v, want byte-cyclic", f.Placement)
 		}
 		if got := f.carve(lo, hi, total, runsByRank).N(); got != 1 {
-			return fmt.Errorf("no policy: carve N = %d, want the byte clamp's 1", got)
+			return fmt.Errorf("default placement: carve N = %d, want the byte clamp's 1", got)
 		}
 		for _, p := range []place.Policy{place.ZoneCurve{}, place.CacheAffinity{}} {
 			f.Placement, f.PlaceGeom = p, geom

@@ -1,109 +1,118 @@
 package mpiio
 
 import (
+	"slices"
 	"testing"
 
 	"drxmp/internal/pfs"
+	"drxmp/internal/place"
 )
 
-// Edge-case coverage for the aggregation-domain geometry: zero-length
-// runs, single-byte domains, and runs that start or end exactly on
-// stripe/domain boundaries. These paths feed every collective call, so
-// their corner behavior is pinned explicitly.
+// Edge-case coverage for the default aggregation-domain carving
+// (place.ByteCyclic) as the collective path consumes it through
+// splitRun: zero-length runs, single-byte domains, and runs that start
+// or end exactly on stripe/domain boundaries, in both the span carving
+// (plain collectives) and the block-cyclic carving (write-behind).
+// These paths feed every collective call, so their corner behavior is
+// pinned explicitly.
+
+// byteCyclic is the default carving of [lo, hi) over n aggregators
+// with the given stripe; wb selects the write-behind (block-cyclic)
+// mode.
+func byteCyclic(lo, hi, stripe int64, n int, wb bool) place.Domains {
+	return place.ByteCyclic{}.Carve(place.Req{
+		Lo: lo, Hi: hi, TotalBytes: hi - lo,
+		Ranks: n, CBNodes: n, Stripe: stripe, WriteBehind: wb,
+	})
+}
+
+// checkPieces compares a split against the wanted pieces.
+func checkPieces(t *testing.T, what string, got, want []piece) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Errorf("%s = %+v, want %+v", what, got, want)
+	}
+}
 
 // TestCollectiveDomainsSplitZeroLengthRun: a zero-length run produces
 // no pieces, regardless of where it sits.
 func TestCollectiveDomainsSplitZeroLengthRun(t *testing.T) {
-	d := domains{lo: 0, per: 64, n: 4}
-	for _, off := range []int64{0, 63, 64, 255, 1000} {
-		if got := d.split(pfs.Run{Off: off, Len: 0}); len(got) != 0 {
-			t.Errorf("split of zero-length run at %d yielded %d pieces", off, len(got))
+	for _, wb := range []bool{false, true} {
+		d := byteCyclic(0, 256, 64, 4, wb)
+		for _, off := range []int64{0, 63, 64, 255, 1000} {
+			if got := splitRun(d, pfs.Run{Off: off, Len: 0}); len(got) != 0 {
+				t.Errorf("wb=%v: split of zero-length run at %d yielded %d pieces", wb, off, len(got))
+			}
 		}
 	}
 }
 
 // TestCollectiveDomainsSplitSingleByteDomains: with a 1-byte stripe the
-// domain size degenerates to a single byte per aggregator; every byte
-// of a run must land on its own owner, with the tail spilling into the
-// last domain.
+// domain size degenerates to a single byte per aggregator. In the span
+// carving every byte of a run lands on its own owner, with the tail
+// spilling into the last domain; in the block-cyclic carving ownership
+// wraps around every n bytes.
 func TestCollectiveDomainsSplitSingleByteDomains(t *testing.T) {
-	d := domains{lo: 0, per: 1, n: 4}
-	pieces := d.split(pfs.Run{Off: 0, Len: 10})
-	if len(pieces) != 4 {
-		t.Fatalf("pieces = %d, want 4 (one per domain + tail)", len(pieces))
+	span := byteCyclic(0, 4, 1, 4, false)
+	checkPieces(t, "span split", splitRun(span, pfs.Run{Off: 0, Len: 10}), []piece{
+		{owner: 0, run: pfs.Run{Off: 0, Len: 1}},
+		{owner: 1, run: pfs.Run{Off: 1, Len: 1}},
+		{owner: 2, run: pfs.Run{Off: 2, Len: 1}},
+		{owner: 3, run: pfs.Run{Off: 3, Len: 7}}, // the last domain takes the tail
+	})
+	if end := span.BlockEnd(3); end < 1<<62-1 {
+		t.Errorf("span tail BlockEnd(3) = %d, want unbounded", end)
 	}
-	for i := 0; i < 3; i++ {
-		want := piece{owner: i, run: pfs.Run{Off: int64(i), Len: 1}}
-		if pieces[i] != want {
-			t.Errorf("piece %d = %+v, want %+v", i, pieces[i], want)
-		}
+
+	cyc := byteCyclic(0, 4, 1, 4, true)
+	var want []piece
+	for i := int64(0); i < 10; i++ {
+		want = append(want, piece{owner: int(i % 4), run: pfs.Run{Off: i, Len: 1}})
 	}
-	// The last domain takes the tail: bytes 3..9.
-	if want := (piece{owner: 3, run: pfs.Run{Off: 3, Len: 7}}); pieces[3] != want {
-		t.Errorf("tail piece = %+v, want %+v", pieces[3], want)
+	checkPieces(t, "cyclic split", splitRun(cyc, pfs.Run{Off: 0, Len: 10}), want)
+	if end := cyc.BlockEnd(3); end != 4 {
+		t.Errorf("cyclic BlockEnd(3) = %d, want 4", end)
 	}
+
 	// A single-byte run in the middle maps to exactly its domain.
-	one := d.split(pfs.Run{Off: 2, Len: 1})
-	if len(one) != 1 || one[0] != (piece{owner: 2, run: pfs.Run{Off: 2, Len: 1}}) {
-		t.Errorf("single-byte split = %+v", one)
+	for _, d := range []place.Domains{span, cyc} {
+		checkPieces(t, "single-byte split", splitRun(d, pfs.Run{Off: 2, Len: 1}),
+			[]piece{{owner: 2, run: pfs.Run{Off: 2, Len: 1}}})
 	}
 }
 
 // TestCollectiveDomainsSplitBoundaryAligned: runs that start or stop
 // exactly on a domain boundary must not leak a byte across it.
 func TestCollectiveDomainsSplitBoundaryAligned(t *testing.T) {
-	d := domains{lo: 128, per: 64, n: 3}
-	// Exactly one domain, [128, 192).
-	p := d.split(pfs.Run{Off: 128, Len: 64})
-	if len(p) != 1 || p[0].owner != 0 || p[0].run != (pfs.Run{Off: 128, Len: 64}) {
-		t.Errorf("aligned split = %+v", p)
+	span := byteCyclic(128, 320, 64, 3, false) // domains [128,192) [192,256) [256,∞)
+	cyc := byteCyclic(128, 320, 64, 3, true)   // stripe s owned by s mod 3
+	cases := []struct {
+		what      string
+		run       pfs.Run
+		span, cyc []piece
+	}{
+		{"aligned", pfs.Run{Off: 128, Len: 64},
+			[]piece{{owner: 0, run: pfs.Run{Off: 128, Len: 64}}},
+			[]piece{{owner: 2, run: pfs.Run{Off: 128, Len: 64}}}},
+		// Straddle the first boundary by one byte on each side.
+		{"straddling", pfs.Run{Off: 191, Len: 2},
+			[]piece{{owner: 0, run: pfs.Run{Off: 191, Len: 1}}, {owner: 1, run: pfs.Run{Off: 192, Len: 1}}},
+			[]piece{{owner: 2, run: pfs.Run{Off: 191, Len: 1}}, {owner: 0, run: pfs.Run{Off: 192, Len: 1}}}},
+		// Past the last domain: the span tail rule absorbs everything,
+		// while the cyclic carving keeps cutting at stripes.
+		{"tail", pfs.Run{Off: 128 + 3*64 - 1, Len: 10},
+			[]piece{{owner: 2, run: pfs.Run{Off: 319, Len: 10}}},
+			[]piece{{owner: 1, run: pfs.Run{Off: 319, Len: 1}}, {owner: 2, run: pfs.Run{Off: 320, Len: 9}}}},
 	}
-	// Straddle the first boundary by one byte on each side.
-	p = d.split(pfs.Run{Off: 191, Len: 2})
-	if len(p) != 2 ||
-		p[0] != (piece{owner: 0, run: pfs.Run{Off: 191, Len: 1}}) ||
-		p[1] != (piece{owner: 1, run: pfs.Run{Off: 192, Len: 1}}) {
-		t.Errorf("straddling split = %+v", p)
+	for _, tc := range cases {
+		checkPieces(t, "span "+tc.what+" split", splitRun(span, tc.run), tc.span)
+		checkPieces(t, "cyclic "+tc.what+" split", splitRun(cyc, tc.run), tc.cyc)
 	}
-	// Past the last domain: the tail rule absorbs everything.
-	p = d.split(pfs.Run{Off: 128 + 3*64 - 1, Len: 10})
-	if len(p) != 1 || p[0].owner != 2 || p[0].run.Len != 10 {
-		t.Errorf("tail split = %+v", p)
+	if end := span.BlockEnd(191); end != 192 {
+		t.Errorf("span BlockEnd(191) = %d, want 192", end)
 	}
-}
-
-// TestCollectiveCoveredSpanZeroLengthRuns: zero-length runs contribute
-// nothing to a domain's covered span, and untouched domains report an
-// empty span.
-func TestCollectiveCoveredSpanZeroLengthRuns(t *testing.T) {
-	d := domains{lo: 0, per: 64, n: 2}
-	runsByRank := [][]pfs.Run{
-		{{Off: 10, Len: 0}, {Off: 20, Len: 4}},
-		{{Off: 40, Len: 0}},
-	}
-	if got := d.coveredSpan(0, runsByRank); got != (pfs.Run{Off: 20, Len: 4}) {
-		t.Errorf("coveredSpan(0) = %+v, want {20 4}", got)
-	}
-	// Domain 1 saw only a zero-length run: empty span, Len 0.
-	if got := d.coveredSpan(1, runsByRank); got != (pfs.Run{}) {
-		t.Errorf("coveredSpan(1) = %+v, want empty", got)
-	}
-	// No runs at all.
-	if got := d.coveredSpan(0, nil); got != (pfs.Run{}) {
-		t.Errorf("coveredSpan of no runs = %+v, want empty", got)
-	}
-}
-
-// TestCollectiveCoveredSpanSingleByteAtBoundary: a single-byte run on
-// the last byte of a domain spans exactly that byte.
-func TestCollectiveCoveredSpanSingleByteAtBoundary(t *testing.T) {
-	d := domains{lo: 0, per: 64, n: 2}
-	runsByRank := [][]pfs.Run{{{Off: 63, Len: 1}}, {{Off: 64, Len: 1}}}
-	if got := d.coveredSpan(0, runsByRank); got != (pfs.Run{Off: 63, Len: 1}) {
-		t.Errorf("coveredSpan(0) = %+v, want {63 1}", got)
-	}
-	if got := d.coveredSpan(1, runsByRank); got != (pfs.Run{Off: 64, Len: 1}) {
-		t.Errorf("coveredSpan(1) = %+v, want {64 1}", got)
+	if end := cyc.BlockEnd(320); end != 384 {
+		t.Errorf("cyclic BlockEnd(320) = %d, want 384", end)
 	}
 }
 
@@ -111,7 +120,7 @@ func TestCollectiveCoveredSpanSingleByteAtBoundary(t *testing.T) {
 // the coalesced union across ranks — overlapping and adjacent pieces
 // from different ranks collapse.
 func TestCollectiveDomainRunsCoalesces(t *testing.T) {
-	d := domains{lo: 0, per: 256, n: 1}
+	d := byteCyclic(0, 256, 256, 1, false)
 	placedBy := [][]placed{
 		placePieces(d, []pfs.Run{{Off: 0, Len: 8}, {Off: 16, Len: 8}}),
 		placePieces(d, []pfs.Run{{Off: 8, Len: 8}, {Off: 100, Len: 4}}),

@@ -1,8 +1,9 @@
 package mpiio
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
+	"sync"
 	"testing"
 
 	"drxmp/internal/pfs"
@@ -67,95 +68,103 @@ func TestFaultSieveFallbackSurfacesRealError(t *testing.T) {
 	}
 }
 
-// TestFaultFlushFailureRetainsDirty (bugfix pin): a wb-only FlushAll
-// whose FlushV sweep fails must keep the dirty bytes buffered, so a
-// retry after the fault clears still makes them durable.
-func TestFaultFlushFailureRetainsDirty(t *testing.T) {
-	fs, err := pfs.Create("wbfault", pfs.Options{Servers: 2, StripeSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	w := newFileCache(fs) // wb-only: budget 0
-	data := make([]byte, 300)
-	for i := range data {
-		data[i] = byte(i % 97)
-	}
-	w.Absorb(100, data)
-	if w.Bytes() != 300 {
-		t.Fatalf("dirty = %d, want 300", w.Bytes())
-	}
-	fs.SetInjector(&pfs.FaultPoint{Server: pfs.AnyServer, Op: pfs.FaultWrites, Permanent: true})
-	if err := w.FlushAll(); err == nil {
-		t.Fatal("flush through a dead server succeeded")
-	}
-	if w.Bytes() != 300 {
-		t.Fatalf("dirty after failed flush = %d, want 300 (bytes lost)", w.Bytes())
-	}
-	// Newer absorbs win over restored bytes: overwrite part of the range
-	// between the failed flush and the retry.
-	upd := make([]byte, 50)
-	for i := range upd {
-		upd[i] = 0xAB
-	}
-	w.Absorb(150, upd)
-	fs.SetInjector(nil)
-	if err := w.FlushAll(); err != nil {
-		t.Fatalf("retry flush: %v", err)
-	}
-	if w.Bytes() != 0 {
-		t.Fatalf("dirty after retry = %d, want 0", w.Bytes())
-	}
-	got := make([]byte, 300)
-	if _, err := fs.ReadAt(got, 100); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		want := byte(i % 97)
-		if i >= 50 && i < 100 {
-			want = 0xAB
-		}
-		if got[i] != want {
-			t.Fatalf("byte %d = %#x, want %#x after retried flush", i, got[i], want)
-		}
-	}
+// absorbingWriteFault fails every write request and, on the first one,
+// absorbs upd at off into w: a newer collective write landing while a
+// wb-only sweep has its victims removed but not yet written.
+type absorbingWriteFault struct {
+	once sync.Once
+	w    *fileCache
+	off  int64
+	upd  []byte
 }
 
-// TestFaultFlushIntersectingFailureRetainsDirty: same pin for the
-// read-coherence sweep.
-func TestFaultFlushIntersectingFailureRetainsDirty(t *testing.T) {
-	fs, err := pfs.Create("wbfault2", pfs.Options{Servers: 2, StripeSize: 128})
-	if err != nil {
-		t.Fatal(err)
+func (f *absorbingWriteFault) Fail(server int, write bool, off, n int64) error {
+	if !write {
+		return nil
 	}
-	defer fs.Close()
-	w := newFileCache(fs)
-	data := make([]byte, 64)
-	for i := range data {
-		data[i] = byte(i + 1)
+	f.once.Do(func() { f.w.Absorb(f.off, f.upd) })
+	return errors.New("server down")
+}
+
+// TestFaultFlushFailureRetainsDirty (bugfix pin): a wb-only flush sweep
+// whose FlushV fails must keep every dirty byte buffered, under each of
+// the three victim selectors (every dirty extent, the extents
+// overlapping some runs, the extents an elected flusher owns). A retry
+// of the same sweep after the fault clears makes its bytes durable,
+// extents the selector skipped stay dirty, and bytes absorbed during
+// the failed sweep win over the restored ones.
+func TestFaultFlushFailureRetainsDirty(t *testing.T) {
+	cases := []struct {
+		name  string
+		flush func(w *fileCache) error
+		left  int64 // dirty bytes the selector leaves behind
+	}{
+		{"all", (*fileCache).FlushAll, 0},
+		{"intersecting", func(w *fileCache) error {
+			return w.FlushIntersecting([]pfs.Run{{Off: 100, Len: 300}})
+		}, 64},
+		{"owned", func(w *fileCache) error {
+			return w.FlushOwned(func(off int64) bool { return off < 512 })
+		}, 64},
 	}
-	w.Absorb(0, data)
-	w.Absorb(1000, data)
-	fs.SetInjector(&pfs.FaultPoint{Server: pfs.AnyServer, Op: pfs.FaultWrites, Permanent: true})
-	if err := w.FlushIntersecting([]pfs.Run{{Off: 0, Len: 64}}); err == nil {
-		t.Fatal("intersecting flush through a dead server succeeded")
-	}
-	if w.Bytes() != 128 {
-		t.Fatalf("dirty after failed intersecting flush = %d, want 128", w.Bytes())
-	}
-	fs.SetInjector(nil)
-	if err := w.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	for _, off := range []int64{0, 1000} {
-		got := make([]byte, 64)
-		if _, err := fs.ReadAt(got, off); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != byte(i+1) {
-				t.Fatal(fmt.Sprintf("byte %d at %d corrupted after retry", i, off))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, err := pfs.Create("wbfault", pfs.Options{Servers: 2, StripeSize: 128})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			defer fs.Close()
+			w := newFileCache(fs) // wb-only: budget 0
+			data := make([]byte, 300)
+			for i := range data {
+				data[i] = byte(i % 97)
+			}
+			tail := make([]byte, 64)
+			for i := range tail {
+				tail[i] = byte(i + 1)
+			}
+			w.Absorb(100, data)
+			w.Absorb(1000, tail)
+			upd := make([]byte, 50)
+			for i := range upd {
+				upd[i] = 0xAB
+			}
+			fs.SetInjector(&absorbingWriteFault{w: w, off: 150, upd: upd})
+			if err := tc.flush(w); err == nil {
+				t.Fatal("flush through a dead server succeeded")
+			}
+			if got := w.Bytes(); got != 364 {
+				t.Fatalf("dirty after failed flush = %d, want 364", got)
+			}
+			fs.SetInjector(nil)
+			if err := tc.flush(w); err != nil {
+				t.Fatalf("retry flush: %v", err)
+			}
+			if got := w.Bytes(); got != tc.left {
+				t.Fatalf("dirty after retry = %d, want %d", got, tc.left)
+			}
+			if err := w.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, 300)
+			if _, err := fs.ReadAt(got, 100); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				want := byte(i % 97)
+				if i >= 50 && i < 100 {
+					want = 0xAB
+				}
+				if got[i] != want {
+					t.Fatalf("byte %d = %#x, want %#x after retried flush", i, got[i], want)
+				}
+			}
+			if _, err := fs.ReadAt(got[:64], 1000); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:64], tail) {
+				t.Fatal("tail extent corrupted after retry")
+			}
+		})
 	}
 }

@@ -28,17 +28,21 @@ type File struct {
 	// unbounded (single round).
 	CollectiveBufferSize int64
 
-	// CBNodes controls how many aggregators a collective operation
-	// uses (the ROMIO "cb_nodes" analogue). Zero (the default) selects
-	// adaptively: clamp(totalBytes/stripeSize, 1, nranks), so small
-	// collectives funnel through few aggregators — fewer, larger,
-	// scheduler-friendly server requests — while large ones keep full
-	// fan-out. Positive values fix the count (clamped to the
-	// communicator size); negative values force one aggregator per
-	// rank (the pre-adaptive behavior). Every rank of a collective
-	// must use the same setting.
-	CBNodes int
+	// TuningKnobs holds the collective and cache knobs, installed as
+	// one block by ApplyTuning.
+	TuningKnobs
 
+	// fc memoizes the shared extent cache. Atomic because the parallel
+	// independent-read path resolves it from concurrent run-group
+	// workers (every resolver stores the same per-store instance, so
+	// racing stores are idempotent).
+	fc atomic.Pointer[fileCache]
+}
+
+// TuningKnobs is the block of collective/cache knobs a File embeds and
+// ApplyTuning installs in one assignment, so the signature stops
+// growing positionally as knobs accrue.
+type TuningKnobs struct {
 	// Parallelism bounds the worker goroutines this rank uses inside a
 	// collective call: the exchange-phase piece carving/reassembly runs
 	// one worker per peer on up to this many workers (internal/par
@@ -50,6 +54,17 @@ type File struct {
 	// paths are byte-identical: workers only ever touch disjoint
 	// extents, and merge order is fixed.
 	Parallelism int
+
+	// CBNodes controls how many aggregators a collective operation
+	// uses (the ROMIO "cb_nodes" analogue). Zero (the default) lets the
+	// placement pick; byte-cyclic picks clamp(totalBytes/stripeSize, 1,
+	// nranks), so small collectives funnel through few aggregators —
+	// fewer, larger, scheduler-friendly server requests — while large
+	// ones keep full fan-out. Positive values fix the count (clamped to
+	// the communicator size); negative values force one aggregator per
+	// rank (the pre-adaptive behavior). Every rank of a collective must
+	// use the same setting.
+	CBNodes int
 
 	// WriteBehind selects the write-behind policy for collective
 	// writes (the dirty side of the unified extent cache,
@@ -115,11 +130,11 @@ type File struct {
 	AdaptiveIO bool
 
 	// Placement selects the aggregation-domain carving policy of the
-	// two-phase collective (internal/place). nil (the default) keeps
-	// the historical byte arithmetic — bit- and accounting-identical to
-	// the pre-policy stack. Every rank of a communicator must use the
-	// same policy (the carving is computed independently on each rank
-	// from replicated state and must agree).
+	// two-phase collective (internal/place). Open installs
+	// place.ByteCyclic, the stripe arithmetic of the ROMIO-style
+	// carving; it must never be nil. Every rank of a communicator must
+	// use the same policy (the carving is computed independently on
+	// each rank from replicated state and must agree).
 	Placement place.Policy
 
 	// PlaceGeom supplies the replicated chunk geometry chunk-aware
@@ -132,15 +147,9 @@ type File struct {
 	// crossings and SyncAll sweep only the regions the placement
 	// assigns this rank, instead of every crossing rank racing a global
 	// FlushAll whose partial sweeps interleave in file space.
-	// Meaningful only with Placement and PlaceGeom set; Sync/Close
-	// still drain everything (the correctness backstop).
+	// Meaningful only with PlaceGeom set; Sync/Close still drain
+	// everything (the correctness backstop).
 	ElectFlush bool
-
-	// fc memoizes the shared extent cache. Atomic because the parallel
-	// independent-read path resolves it from concurrent run-group
-	// workers (every resolver stores the same per-store instance, so
-	// racing stores are idempotent).
-	fc atomic.Pointer[fileCache]
 }
 
 // workers resolves the collective parallelism knob.
@@ -192,48 +201,12 @@ func (f *File) sharedCache() *fileCache {
 // unified cache (clean caching / data sieving enabled).
 func (f *File) cacheActive() bool { return f.CacheBytes > 0 }
 
-// SetCacheBytes adjusts the cache memory budget and applies it to the
-// shared cache immediately when one exists — dropping the budget to 0
-// releases the clean extents right away instead of at the next cached
-// operation. Every rank must use the same value.
-func (f *File) SetCacheBytes(n int64) {
-	f.CacheBytes = n
-	if w := f.sharedCache(); w != nil {
-		w.Configure(f.cacheConfig())
-	}
-}
-
-// SetReadAhead adjusts the sieve read-ahead, applied like SetCacheBytes.
-func (f *File) SetReadAhead(n int64) {
-	f.ReadAhead = n
-	if w := f.sharedCache(); w != nil {
-		w.Configure(f.cacheConfig())
-	}
-}
-
-// TuningKnobs is ApplyTuning's parameter block — one field per handle
-// knob, so the signature stops growing positionally as knobs accrue.
-type TuningKnobs struct {
-	Parallelism int
-	CBNodes     int
-	WriteBehind int64
-	CacheBytes  int64
-	SieveSize   int64
-	ReadAhead   int64
-	SpillBytes  int64
-	SpillPath   string
-	AdaptiveIO  bool
-	Placement   place.Policy
-	PlaceGeom   place.Geometry
-	ElectFlush  bool
-}
-
 // ApplyTuning installs every collective/cache knob of the handle in
 // one call — the atomic application point behind drxmp.File.SetTuning,
-// so a serving tier can swap a whole tenant profile instead of
-// individual setters. The shared cache is reconfigured once. Disabling
-// write-behind (newly zero) flushes the buffered dirty extents exactly
-// as the individual setter does; disabling the cache or the spill tier
+// so a serving tier can swap a whole tenant profile at once. The shared
+// cache is reconfigured once, so dropping CacheBytes to 0 releases the
+// clean extents right away. Disabling write-behind (newly zero) flushes
+// the buffered dirty extents; disabling the cache or the spill tier
 // first drains every deferred byte under the OLD configuration (the
 // caching sweep is the only path that reads dirty extents back out of
 // the spill file). Enabling the spill tier opens the spill file
@@ -248,18 +221,7 @@ func (f *File) ApplyTuning(k TuningKnobs) error {
 			}
 		}
 	}
-	f.Parallelism = k.Parallelism
-	f.CBNodes = k.CBNodes
-	f.WriteBehind = k.WriteBehind
-	f.CacheBytes = k.CacheBytes
-	f.SieveSize = k.SieveSize
-	f.ReadAhead = k.ReadAhead
-	f.SpillBytes = k.SpillBytes
-	f.SpillPath = k.SpillPath
-	f.AdaptiveIO = k.AdaptiveIO
-	f.Placement = k.Placement
-	f.PlaceGeom = k.PlaceGeom
-	f.ElectFlush = k.ElectFlush
+	f.TuningKnobs = k
 	var w *fileCache
 	if f.SpillBytes > 0 && f.CacheBytes > 0 {
 		w = f.cache() // eager: the spill file opens here
@@ -327,7 +289,7 @@ func (f *File) SyncAll() error {
 // region, so the predicates still partition everything a stale sweep
 // might hold.
 func (f *File) flushOwned() func(off int64) bool {
-	if !f.ElectFlush || f.Placement == nil || f.PlaceGeom == nil {
+	if !f.ElectFlush || f.PlaceGeom == nil {
 		return nil
 	}
 	hi := f.PlaceGeom.Chunks() * f.PlaceGeom.ChunkBytes()
@@ -455,6 +417,7 @@ func (f *File) PostWrite(runs []pfs.Run) error {
 func Open(comm *cluster.Comm, fs *pfs.FS) *File {
 	f := &File{fs: fs, comm: comm}
 	f.filetype = MustBytes(1 << 20) // default view: raw bytes
+	f.Placement = place.ByteCyclic{}
 	return f
 }
 

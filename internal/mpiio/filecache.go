@@ -543,107 +543,28 @@ func (w *fileCache) punchLocked(off, n int64, cleanOnly bool) {
 	w.ext = out
 }
 
-// pickDirty returns the dirty extents overlapping any of runs, by a
-// two-pointer merge over the two sorted lists (runs arrive sorted and
-// coalesced). Must be called with w.mu held.
-func (w *fileCache) pickDirty(runs []pfs.Run) []*cext {
-	var out []*cext
-	j := 0
-	for _, e := range w.ext {
-		if !e.dirty {
-			continue
-		}
-		for j < len(runs) && runs[j].Off+runs[j].Len <= e.off {
-			j++
-		}
-		if j < len(runs) && runs[j].Off < e.end() {
-			out = append(out, e)
-		}
-	}
-	return out
+// flushSel selects the victims of one flush sweep: every dirty extent
+// (the zero value), the dirty extents overlapping runs (overlap set),
+// or the dirty extents whose start offset owned claims (owned set — an
+// elected per-region sweep, which also restricts the spill-tier chunks
+// that join it).
+type flushSel struct {
+	overlap bool
+	runs    []pfs.Run // sorted and coalesced
+	owned   func(off int64) bool
 }
 
 // FlushAll writes every dirty extent back as one vectored flush sweep.
 // With clean caching on, the flushed extents stay in the cache marked
 // clean (a Sync leaves the cache warm); in wb-only mode they are
 // removed, as in PR 4. A cache with nothing dirty is a no-op.
-func (w *fileCache) FlushAll() error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	if w.budget > 0 {
-		victims := make([]*cext, 0, len(w.ext))
-		for _, e := range w.ext {
-			if e.dirty {
-				victims = append(victims, e)
-			}
-		}
-		return w.flushMarkCleanLocked(victims) // unlocks w.mu
-	}
-	ext := w.ext
-	w.ext = nil
-	w.dirty = 0
-	w.total = 0
-	if len(ext) > 0 {
-		w.stats.Flushes++
-	}
-	w.mu.Unlock()
-	if err := w.flushExtents(ext, nil); err != nil {
-		// The extents were removed before the sweep; putting their
-		// bytes back keeps the dirty data buffered for a retry instead
-		// of silently dropping it on a failed flush.
-		w.restoreDirty(ext)
-		return err
-	}
-	return nil
-}
+func (w *fileCache) FlushAll() error { return w.flush(flushSel{}) }
 
 // FlushIntersecting writes back exactly the dirty extents that overlap
 // any of runs — the read-coherence sweep of wb-only mode. Extents
-// outside the queried ranges stay buffered. In wb-only mode the
-// flushed extents are removed, and holding flushMu for the whole sweep
-// means a reader whose coherence check races another flush blocks
-// until that flush's bytes are durable, instead of reading the store
-// in the removed-but-not-yet-written window. With clean caching on the
-// flushed extents stay, marked clean (no window exists to protect).
+// outside the queried ranges stay buffered.
 func (w *fileCache) FlushIntersecting(runs []pfs.Run) error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	victims := w.pickDirty(runs)
-	spillDirty := w.spill != nil && w.spill.Dirty() > 0
-	if len(victims) == 0 && !spillDirty {
-		w.mu.Unlock()
-		return nil
-	}
-	if w.budget > 0 {
-		// The caching sweep also drains the spill tier's dirty bytes
-		// (all of them, not just the intersecting ones — flushing
-		// deferred bytes early is always safe, and it keeps the sweep
-		// one vectored FlushV).
-		return w.flushMarkCleanLocked(victims) // unlocks w.mu
-	}
-	flush := make([]*cext, 0, len(victims))
-	var keep []*cext
-	vi := 0
-	for _, e := range w.ext {
-		if vi < len(victims) && victims[vi] == e {
-			flush = append(flush, e)
-			w.dirty -= int64(len(e.data))
-			w.total -= int64(len(e.data))
-			vi++
-		} else {
-			keep = append(keep, e)
-		}
-	}
-	w.ext = keep
-	w.stats.Flushes++
-	w.mu.Unlock()
-	if err := w.flushExtents(flush, nil); err != nil {
-		w.restoreDirty(flush)
-		return err
-	}
-	return nil
+	return w.flush(flushSel{overlap: true, runs: runs})
 }
 
 // FlushOwned writes back exactly the dirty extents starting in a file
@@ -654,33 +575,71 @@ func (w *fileCache) FlushIntersecting(runs []pfs.Run) error {
 // rank's absorbed regions instead of an interleaved snapshot of
 // everyone's. An extent that merged across a region boundary belongs to
 // the region its first byte lies in (flushing a tail early is always
-// safe). With clean caching on the victims stay cached, marked clean;
-// in wb-only mode they are removed exactly like FlushIntersecting's.
+// safe).
 func (w *fileCache) FlushOwned(owned func(off int64) bool) error {
+	return w.flush(flushSel{owned: owned})
+}
+
+// victimsLocked returns the dirty extents sel picks, in offset order
+// (the overlap selector is a two-pointer merge over the two sorted
+// lists). Must be called with w.mu held.
+func (w *fileCache) victimsLocked(sel flushSel) []*cext {
+	var out []*cext
+	j := 0
+	for _, e := range w.ext {
+		if !e.dirty {
+			continue
+		}
+		switch {
+		case sel.owned != nil:
+			if !sel.owned(e.off) {
+				continue
+			}
+		case sel.overlap:
+			for j < len(sel.runs) && sel.runs[j].Off+sel.runs[j].Len <= e.off {
+				j++
+			}
+			if j == len(sel.runs) || sel.runs[j].Off >= e.end() {
+				continue
+			}
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// flush is the one flush sweep behind FlushAll, FlushIntersecting and
+// FlushOwned. With clean caching on, the victims are written and then
+// marked clean IN PLACE (flushCleanLocked), so there is no window where
+// a byte is in neither the cache nor the store. In wb-only mode they
+// are removed first and written after; holding flushMu for the whole
+// sweep means a reader whose coherence check races another flush
+// blocks until that flush's bytes are durable, instead of reading the
+// store in the removed-but-not-yet-written window. A failed wb-only
+// sweep puts the removed bytes back (restoreDirty).
+func (w *fileCache) flush(sel flushSel) error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.mu.Lock()
-	victims := make([]*cext, 0, len(w.ext))
-	for _, e := range w.ext {
-		if e.dirty && owned(e.off) {
-			victims = append(victims, e)
-		}
-	}
-	spillDirty := w.spill != nil && w.spill.Dirty() > 0
-	if len(victims) == 0 && !spillDirty {
+	victims := w.victimsLocked(sel)
+	if len(victims) == 0 && (w.spill == nil || w.spill.Dirty() == 0) {
 		w.mu.Unlock()
 		return nil
 	}
-	w.stats.OwnedFlushes++
-	if w.budget > 0 {
-		return w.flushMarkCleanOwnedLocked(victims, owned) // unlocks w.mu
+	if sel.owned != nil {
+		w.stats.OwnedFlushes++
 	}
-	flush := make([]*cext, 0, len(victims))
-	var keep []*cext
+	if w.budget > 0 {
+		// The caching sweep also drains the spill tier's dirty bytes
+		// (all of them unless the sweep is elected — flushing deferred
+		// bytes early is always safe, and it keeps the sweep one
+		// vectored FlushV).
+		return w.flushCleanLocked(victims, sel.owned) // unlocks w.mu
+	}
+	keep := make([]*cext, 0, len(w.ext)-len(victims))
 	vi := 0
 	for _, e := range w.ext {
 		if vi < len(victims) && victims[vi] == e {
-			flush = append(flush, e)
 			w.dirty -= int64(len(e.data))
 			w.total -= int64(len(e.data))
 			vi++
@@ -689,12 +648,12 @@ func (w *fileCache) FlushOwned(owned func(off int64) bool) error {
 		}
 	}
 	w.ext = keep
-	if len(flush) > 0 {
+	if len(victims) > 0 {
 		w.stats.Flushes++
 	}
 	w.mu.Unlock()
-	if err := w.flushExtents(flush, nil); err != nil {
-		w.restoreDirty(flush)
+	if err := w.flushExtents(victims, nil); err != nil {
+		w.restoreDirty(victims)
 		return err
 	}
 	return nil
@@ -725,24 +684,18 @@ func (w *fileCache) restoreDirty(ext []*cext) {
 	w.gen++
 }
 
-// flushMarkCleanLocked is the caching-mode flush: write the victim
-// extents — plus every dirty extent of the spill tier, read back from
-// the spill file — as one vectored sweep and mark them clean IN PLACE,
-// so the data never leaves the cache mid-flush (readers stay coherent
-// without taking flushMu). Entered with w.mu held (and flushMu held by
-// the caller); returns with both released... flushMu by the caller's
-// defer. A victim punched or re-absorbed during the sweep (a new
-// pointer in memory, a new entry id in the spill tier) keeps its
-// replacement's dirtiness — the replacement flushes later.
-func (w *fileCache) flushMarkCleanLocked(victims []*cext) error {
-	return w.flushMarkCleanOwnedLocked(victims, nil)
-}
-
-// flushMarkCleanOwnedLocked is flushMarkCleanLocked with an optional
-// region-ownership filter for the spill tier: with owned non-nil, only
-// the spilled dirty chunks starting in an owned region join the sweep
-// (an elected flusher must not sweep a region another rank owns).
-func (w *fileCache) flushMarkCleanOwnedLocked(victims []*cext, owned func(off int64) bool) error {
+// flushCleanLocked is the caching-mode sweep: write the victim extents
+// — plus the dirty extents of the spill tier, read back from the spill
+// file (with owned non-nil, only the chunks starting in an owned
+// region: an elected flusher must not sweep a region another rank
+// owns) — as one vectored sweep, mark them clean IN PLACE, and evict
+// down to the budget. The data never leaves the cache mid-flush, so
+// readers stay coherent without taking flushMu. Entered with w.mu held
+// (and flushMu held by the caller); returns with w.mu released. A
+// victim punched or re-absorbed during the sweep (a new pointer in
+// memory, a new entry id in the spill tier) keeps its replacement's
+// dirtiness — the replacement flushes later.
+func (w *fileCache) flushCleanLocked(victims []*cext, owned func(off int64) bool) error {
 	var chunks []spill.Chunk
 	if w.spill != nil && w.spill.Dirty() > 0 {
 		var err error
@@ -765,10 +718,8 @@ func (w *fileCache) flushMarkCleanOwnedLocked(victims []*cext, owned func(off in
 		return nil
 	}
 	w.stats.Flushes++
-	snap := make([]*cext, len(victims))
-	copy(snap, victims)
 	w.mu.Unlock()
-	if err := w.flushExtents(snap, chunks); err != nil {
+	if err := w.flushExtents(victims, chunks); err != nil {
 		return err
 	}
 	w.mu.Lock()
@@ -776,7 +727,7 @@ func (w *fileCache) flushMarkCleanOwnedLocked(victims []*cext, owned func(off in
 	for _, e := range w.ext {
 		present[e] = true
 	}
-	for _, e := range snap {
+	for _, e := range victims {
 		if present[e] && e.dirty {
 			e.dirty = false
 			w.dirty -= int64(len(e.data))
@@ -962,7 +913,7 @@ func (w *fileCache) EnforceBudget() error {
 		vbytes += int64(len(e.data))
 	}
 	w.stats.FlushEvicted += vbytes
-	return w.flushMarkCleanLocked(victims) // unlocks w.mu; evicts the marked-clean victims
+	return w.flushCleanLocked(victims, nil) // unlocks w.mu; evicts the marked-clean victims
 }
 
 // hole is one uncached sub-range of a ReadThrough request and its

@@ -14,11 +14,10 @@
 //
 // Three policies are provided:
 //
-//   - ByteCyclic: the historical arithmetic carving (span-partition for
-//     plain collectives, file-aligned block-cyclic under write-behind),
-//     bit-identical to the carving formerly hard-coded in
-//     internal/mpiio. The zero policy: Placement unset behaves exactly
-//     like this.
+//   - ByteCyclic: the ROMIO-style arithmetic carving (span-partition
+//     for plain collectives, file-aligned block-cyclic under
+//     write-behind). The default: mpiio.Open installs it, and the
+//     collective path has no other carving.
 //   - ZoneCurve: domains follow chunk zones. The chunks the collective
 //     touches are ordered along a zone curve (Morton order over chunk
 //     coordinates, zone.CurveKey) and cut into payload-balanced,
@@ -130,13 +129,11 @@ func resolveN(r Req, want int) int {
 	return n
 }
 
-// ByteCyclic is the historical arithmetic carving, bit-identical to
-// the one formerly hard-coded in the collective path: under
-// write-behind, file-aligned block-cyclic stripes (so successive union
-// flushes merge server-aligned); otherwise a stripe-aligned span
-// partition whose last domain absorbs the tail. The adaptive
-// aggregator count is the historical clamp(TotalBytes/Stripe, 1,
-// Ranks).
+// ByteCyclic is the default arithmetic carving of the collective
+// path: under write-behind, file-aligned block-cyclic stripes (so
+// successive union flushes merge server-aligned); otherwise a
+// stripe-aligned span partition whose last domain absorbs the tail.
+// The adaptive aggregator count is clamp(TotalBytes/Stripe, 1, Ranks).
 type ByteCyclic struct{}
 
 // Name implements Policy.

@@ -1,5 +1,5 @@
 // Package report renders the benchmark harness's tables: fixed-width
-// ASCII for the terminal (the rows EXPERIMENTS.md quotes) and CSV for
+// ASCII for the terminal (the rows README.md quotes) and CSV for
 // machine consumption.
 package report
 

@@ -453,7 +453,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 // request — two requests racing see each other's hits — which is why
 // this is a debug header and the per-array stats JSON is the real API.
 func setCacheHeader(w http.ResponseWriter, a *array) {
-	if a.f.CacheBytes() <= 0 {
+	if a.f.Tuning().CacheBytes <= 0 {
 		w.Header().Set("X-Drx-Cache", "off")
 		return
 	}

@@ -24,11 +24,15 @@ func TestSyncWorkersResolution(t *testing.T) {
 		if got := f.syncWorkers(); got != 6 {
 			t.Errorf("syncWorkers() = %d, want 6 (collective budget wins)", got)
 		}
-		f.SetCollectiveParallelism(-1)
+		if err := f.SetTuning(Tuning{Parallelism: -1, CollectiveParallelism: -1}); err != nil {
+			return err
+		}
 		if got := f.syncWorkers(); got != 1 {
 			t.Errorf("syncWorkers() with both serial = %d, want 1", got)
 		}
-		f.SetParallelism(4)
+		if err := f.SetTuning(Tuning{Parallelism: 4, CollectiveParallelism: -1}); err != nil {
+			return err
+		}
 		if got := f.syncWorkers(); got != 4 {
 			t.Errorf("syncWorkers() = %d, want 4 (independent budget wins)", got)
 		}
