@@ -168,3 +168,42 @@ func TestFaultFlushFailureRetainsDirty(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultFlushIntersectingFailureRetainsDirty: same pin for the
+// read-coherence sweep, with a plain permanent write fault.
+func TestFaultFlushIntersectingFailureRetainsDirty(t *testing.T) {
+	fs, err := pfs.Create("wbfault2", pfs.Options{Servers: 2, StripeSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	w := newFileCache(fs)
+	data := make([]byte, 64)
+	for i := range data {
+		data[i] = byte(i + 1)
+	}
+	w.Absorb(0, data)
+	w.Absorb(1000, data)
+	fs.SetInjector(&pfs.FaultPoint{Server: pfs.AnyServer, Op: pfs.FaultWrites, Permanent: true})
+	if err := w.FlushIntersecting([]pfs.Run{{Off: 0, Len: 64}}); err == nil {
+		t.Fatal("intersecting flush through a dead server succeeded")
+	}
+	if w.Bytes() != 128 {
+		t.Fatalf("dirty after failed intersecting flush = %d, want 128", w.Bytes())
+	}
+	fs.SetInjector(nil)
+	if err := w.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{0, 1000} {
+		got := make([]byte, 64)
+		if _, err := fs.ReadAt(got, off); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i] != byte(i+1) {
+				t.Fatalf("byte %d at %d corrupted after retry", i, off)
+			}
+		}
+	}
+}
