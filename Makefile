@@ -64,12 +64,13 @@ race-client:
 
 # Tiered-cache suites under the race detector: the spill store is
 # shared by every reader of a file (demotions, promotions and punches
-# interleave from concurrent ReadThrough calls), the adaptive
-# controller retunes under the same lock, and the tiered differential
-# pins the spill-off path byte-identical to the RAM-only stack.
+# interleave from concurrent ReadThrough calls), read-ahead fetches are
+# clipped against the spill tier under the same lock, and the tiered
+# differential pins the spill-off path byte-identical to the RAM-only
+# stack.
 race-spill:
 	$(GO) test -race -count=1 ./internal/spill
-	$(GO) test -race -run 'Spill|Tiered|Adaptive' . ./internal/mpiio ./internal/exp ./internal/serve
+	$(GO) test -race -run 'Spill|Tiered|ReadAhead' . ./internal/mpiio ./internal/exp ./internal/serve
 
 # Placement suites under the race detector: the policy carving is
 # consulted concurrently by every rank of a collective, elected

@@ -12,7 +12,6 @@
 //	drxbench -exp e17 -cpar 16   # parallel collective, wider sweep
 //	drxbench -exp e20 -cache 4194304  # read-cache ablation, fixed 4 MiB budget
 //	drxbench -exp e23 -spill 8388608  # tiered cache, fixed 8 MiB spill budget
-//	drxbench -exp e23 -adaptive      # tiered cache, adaptive controller everywhere
 //	drxbench -benchjson BENCH_collective.json  # collective perf artifact
 //	                             # (scheduler/cb_nodes + e19 write-behind
 //	                             #  + e20 read-cache + e23 tiered-cache
@@ -28,18 +27,17 @@
 // dead-server reconstruction vs wait-on-straggler reads, e22 the
 // resilient-client ablation: plain vs retrying vs hedged clients
 // against a straggling, flaky serving tier, e23 the tiered-cache
-// ablation: RAM-only vs local-disk spill vs spill plus the adaptive
-// sieve/read-ahead controller on an oversized-working-set re-read,
-// e24 the aggregator-placement ablation: byte-cyclic vs zone-curve vs
+// ablation: RAM-only vs local-disk spill vs spill plus static
+// read-ahead on an oversized-working-set re-read, e24 the
+// aggregator-placement ablation: byte-cyclic vs zone-curve vs
 // cache-affinity domains on repeated slab rewrites, plus elected vs
 // uncoordinated watermark flushers).
 //
 // Flags: -exp, -scale, -csv, -list, -par (e16 worker sweep bound),
 // -cpar (e17 worker sweep bound), -cache (e20 cache budget in bytes;
 // 0 sizes the budget to the array), -spill (e23 spill-tier budget in
-// bytes; 0 sizes it to the array), -adaptive (force the adaptive
-// controller on in every cached e23 config), -benchjson (write the
-// collective perf artifact and exit).
+// bytes; 0 sizes it to the array), -benchjson (write the collective
+// perf artifact and exit).
 package main
 
 import (
@@ -82,7 +80,7 @@ var experiments = []struct {
 	{"e20", "unified file cache read ablation (cold/warm re-read, data sieving, read-ahead)", exp.E20ReadCache},
 	{"e21", "erasure-coded degraded reads (healthy / wait-straggler / degraded-straggler / degraded-dead)", exp.E21DegradedReads},
 	{"e22", "resilient client vs straggling/flaky serving tier (plain / retry / hedged)", exp.E22RetryHedge},
-	{"e23", "tiered extent cache (RAM-only / local-disk spill / spill + adaptive sieve & read-ahead)", exp.E23TieredCache},
+	{"e23", "tiered extent cache (RAM-only / local-disk spill / spill + read-ahead)", exp.E23TieredCache},
 	{"e24", "aggregator placement (byte-cyclic / zone-curve / cache-affinity) + elected per-region flushers", exp.E24Placement},
 }
 
@@ -95,7 +93,6 @@ func main() {
 	cparFlag := flag.Int("cpar", exp.DefaultCollectiveParallelism, "max collective parallelism swept by e17")
 	cacheFlag := flag.Int64("cache", 0, "read-cache budget in bytes for e20 (0 sizes it to the array)")
 	spillFlag := flag.Int64("spill", 0, "spill-tier budget in bytes for e23 (0 sizes it to the array)")
-	adaptiveFlag := flag.Bool("adaptive", false, "force the adaptive sieve/read-ahead controller on in every cached e23 config")
 	benchJSON := flag.String("benchjson", "", "write the collective benchmark rows (scheduler/cb_nodes, e19 write-behind, e20 read-cache) to this JSON file and exit")
 	flag.Parse()
 	if *parFlag > 0 {
@@ -110,7 +107,6 @@ func main() {
 	if *spillFlag > 0 {
 		exp.DefaultSpillBytes = *spillFlag
 	}
-	exp.DefaultAdaptive = *adaptiveFlag
 
 	if *list {
 		for _, e := range experiments {

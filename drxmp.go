@@ -150,13 +150,6 @@ type Tuning struct {
 	// temp file. The file is created at first use and removed when the
 	// array's store closes. Meaningful only with SpillBytes > 0.
 	SpillPath string
-	// AdaptiveIO enables histogram-driven tuning: the cache
-	// periodically re-derives its effective sieve block and read-ahead
-	// from the server request-size histograms (p90, stripe-rounded) and
-	// the observed read sequentiality, overriding the static
-	// ReadAheadBytes / IO().SieveSize values. Requires CacheBytes > 0.
-	// Every rank must pass the same value.
-	AdaptiveIO bool
 	// Placement selects the collective aggregation-domain placement
 	// policy: "" (the default) is the byte-cyclic stripe arithmetic
 	// without flush election, PlacementByteCyclic names the same
@@ -202,9 +195,6 @@ func (t Tuning) validate() error {
 	}
 	if t.SpillPath != "" && t.SpillBytes == 0 {
 		return fmt.Errorf("%w: SpillPath %q without SpillBytes", ErrBadOptions, t.SpillPath)
-	}
-	if t.AdaptiveIO && t.CacheBytes == 0 {
-		return fmt.Errorf("%w: AdaptiveIO without CacheBytes (the controller tunes the cache)", ErrBadOptions)
 	}
 	switch t.Placement {
 	case "", PlacementByteCyclic, PlacementZoneCurve, PlacementCacheAffinity:
@@ -385,28 +375,41 @@ func Create(c *cluster.Comm, path string, opts Options) (*File, error) {
 		return nil, err
 	}
 	// Agree on the metadata-persist outcome before any rank returns a
-	// handle: persistMeta can only fail on rank 0 (it is a no-op
-	// elsewhere), and without the agreement round the other ranks would
-	// return healthy handles on a store rank 0 is about to release.
-	perr := f.persistMeta()
-	ok := []byte{1}
-	if perr != nil {
-		ok = []byte{0}
-	}
-	ok, err = c.Bcast(0, ok)
-	if err != nil {
-		return nil, err
-	}
-	if len(ok) == 0 || ok[0] == 0 {
+	// handle: without the agreement round the other ranks would return
+	// healthy handles on a store rank 0 is about to release.
+	if err := agreeRoot(c, "create "+path+": metadata persist", f.persistMeta()); err != nil {
 		// Rank 0 owns the store it just created: release it (queue
 		// goroutines, disk files) rather than leak it on a failed create.
 		if c.Rank() == 0 {
 			fs.Close()
-			return nil, perr
 		}
-		return nil, fmt.Errorf("drxmp: create %s: metadata persist failed on rank 0", path)
+		return nil, err
 	}
 	return f, c.Barrier()
+}
+
+// agreeRoot makes rank 0's outcome every rank's: rank 0 passes the
+// error of a step only it performs (the metadata persist, the store
+// truncate; other ranks pass nil), and one Bcast tells the others, so
+// a rank-0 failure fails the collective everywhere instead of leaving
+// the other ranks blocked on a barrier rank 0 never reaches. Rank 0
+// returns its own error, the others a summary naming what.
+func agreeRoot(c *cluster.Comm, what string, rootErr error) error {
+	ok := []byte{1}
+	if rootErr != nil {
+		ok = []byte{0}
+	}
+	ok, err := c.Bcast(0, ok)
+	if err != nil {
+		return err
+	}
+	if len(ok) == 1 && ok[0] == 1 {
+		return nil
+	}
+	if c.Rank() == 0 {
+		return rootErr
+	}
+	return fmt.Errorf("drxmp: %s failed on rank 0", what)
 }
 
 // OpenWith collectively opens an existing disk-backed array
@@ -478,11 +481,13 @@ func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 // flushes its write-behind cache (deferred collective writes become
 // durable before the store shuts down — the flush-before-close
 // guarantee), then rank 0 persists the metadata and closes the shared
-// store. The store's own close-flusher hook (pfs.AddCloseFlusher) backs
-// this up for callers that close the FS directly.
+// store. If the persist fails, every rank returns an error and the
+// store stays open, so Close may be retried. The store's own
+// close-flusher hook (pfs.AddCloseFlusher) backs this up for callers
+// that close the FS directly.
 func (f *File) Close() error {
 	serr := f.io.Sync()
-	if err := f.persistMeta(); err != nil {
+	if err := agreeRoot(f.comm, "close "+f.path+": metadata persist", f.persistMeta()); err != nil {
 		return err
 	}
 	if err := f.comm.Barrier(); err != nil {
@@ -505,11 +510,35 @@ func (f *File) Sync() error {
 	return f.io.SyncAll()
 }
 
+// persistMeta writes the metadata file on rank 0 of a disk-backed
+// array (a no-op elsewhere). The new image goes to <path>.xmd.tmp,
+// is fsynced, and is renamed over <path>.xmd, so a crash leaves either
+// the old or the new metadata, never a torn file that fails its CRC.
+// A failed step removes the temp file.
 func (f *File) persistMeta() error {
 	if !f.diskBacked || f.comm.Rank() != 0 {
 		return nil
 	}
-	return os.WriteFile(f.path+".xmd", f.m.Encode(), 0o644)
+	dst := f.path + ".xmd"
+	tmp := dst + ".tmp"
+	fh, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = fh.Write(f.m.Encode())
+	if err == nil {
+		err = fh.Sync()
+	}
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, dst)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // --- metadata accessors ---
@@ -590,7 +619,6 @@ func (f *File) knobs(t Tuning) mpiio.TuningKnobs {
 		ReadAhead:   t.ReadAheadBytes,
 		SpillBytes:  t.SpillBytes,
 		SpillPath:   t.SpillPath,
-		AdaptiveIO:  t.AdaptiveIO,
 		Placement:   placementPolicy(t.Placement),
 		PlaceGeom:   chunkGeom{m: f.m},
 		ElectFlush:  t.Placement != "" && !t.NoFlushElection,
@@ -716,7 +744,9 @@ func (f *File) OwnerOf(idx []int) (int, error) {
 
 // Extend collectively grows dimension dim by `by` elements
 // (the paper's Section IV-B parallel expansion). Every process applies
-// the identical extension to its metadata replica; no data moves.
+// the identical extension to its metadata replica; no data moves. If
+// rank 0 fails to grow the store or persist the metadata, every rank
+// returns an error with its replica restored to the old bounds.
 func (f *File) Extend(dim, by int) error {
 	if by < 1 {
 		return fmt.Errorf("drxmp: extend by %d", by)
@@ -724,6 +754,7 @@ func (f *File) Extend(dim, by int) error {
 	if dim < 0 || dim >= f.Rank() {
 		return fmt.Errorf("drxmp: dimension %d out of range", dim)
 	}
+	old := f.m.Clone()
 	if err := f.m.ExtendElems(dim, f.m.ElemBounds[dim]+by); err != nil {
 		return err
 	}
@@ -731,15 +762,19 @@ func (f *File) Extend(dim, by int) error {
 	if err := f.comm.Barrier(); err != nil {
 		return err
 	}
+	var rerr error
 	if f.comm.Rank() == 0 {
-		if err := f.fs.Truncate(f.m.FileBytes()); err != nil {
-			return err
-		}
-		if err := f.persistMeta(); err != nil {
-			return err
+		if rerr = f.fs.Truncate(f.m.FileBytes()); rerr == nil {
+			rerr = f.persistMeta()
 		}
 	}
-	return f.comm.Barrier()
+	if err := agreeRoot(f.comm, "extend "+f.path, rerr); err != nil {
+		// Restore in place: the placement geometry holds f.m.
+		*f.m = *old
+		f.decomp = nil
+		return err
+	}
+	return nil
 }
 
 // --- section I/O ---

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"drxmp"
 	"drxmp/internal/cluster"
@@ -235,5 +236,108 @@ func TestServeCreatePersistFailureAllRanks(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPersistFailureFailsEveryRank pins the outcome agreement of
+// Extend and Close: when rank 0 cannot persist the metadata (a
+// directory stands where the .xmd file goes), every rank returns an
+// error instead of blocking on a barrier rank 0 never reaches, a failed
+// Extend leaves every replica at its old bounds, and no .xmd.tmp is
+// left behind. Once the path is writable again the same call succeeds
+// on every rank, and the array reopens with the bounds it reached.
+func TestPersistFailureFailsEveryRank(t *testing.T) {
+	const ranks = 2
+	for _, op := range []string{"extend", "close"} {
+		t.Run(op, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "arr")
+			errs := make([]error, ranks)
+			bounds := make([][]int, ranks)
+			// step runs fn on rank 0 only, fenced by barriers on both sides.
+			step := func(c *cluster.Comm, fn func() error) error {
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				var err error
+				if c.Rank() == 0 {
+					err = fn()
+				}
+				if berr := c.Barrier(); err == nil {
+					err = berr
+				}
+				return err
+			}
+			done := make(chan error, 1)
+			go func() {
+				done <- cluster.Run(ranks, func(c *cluster.Comm) error {
+					f, err := optionsCreateDisk(c, path, drxmp.Tuning{})
+					if err != nil {
+						return err
+					}
+					if err := step(c, func() error {
+						if err := os.Remove(path + ".xmd"); err != nil {
+							return err
+						}
+						return os.Mkdir(path+".xmd", 0o755)
+					}); err != nil {
+						return err
+					}
+					if op == "extend" {
+						errs[c.Rank()] = f.Extend(0, 8)
+						bounds[c.Rank()] = f.Bounds()
+					} else {
+						errs[c.Rank()] = f.Close()
+					}
+					if err := step(c, func() error { return os.Remove(path + ".xmd") }); err != nil {
+						return err
+					}
+					if op == "extend" {
+						if err := f.Extend(0, 8); err != nil {
+							return fmt.Errorf("retried Extend: %w", err)
+						}
+					}
+					if err := f.Close(); err != nil {
+						return fmt.Errorf("retried Close: %w", err)
+					}
+					return nil
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s blocked for 5 s after rank 0's metadata persist failed", op)
+			}
+			for r := 0; r < ranks; r++ {
+				if errs[r] == nil {
+					t.Fatalf("rank %d: %s succeeded despite rank 0's persist failure", r, op)
+				}
+				if op == "extend" && fmt.Sprint(bounds[r]) != "[32 24]" {
+					t.Fatalf("rank %d: bounds %v after the failed Extend, want [32 24]", r, bounds[r])
+				}
+			}
+			if _, err := os.Stat(path + ".xmd.tmp"); !os.IsNotExist(err) {
+				t.Fatalf("failed persist left %s.xmd.tmp behind (stat: %v)", path, err)
+			}
+			want := "[32 24]"
+			if op == "extend" {
+				want = "[40 24]"
+			}
+			err := cluster.Run(ranks, func(c *cluster.Comm) error {
+				f, err := drxmp.OpenWith(c, path, drxmp.OpenOptions{FS: pfs.Options{Servers: 2, StripeSize: 512}})
+				if err != nil {
+					return err
+				}
+				if got := fmt.Sprint(f.Bounds()); got != want {
+					return fmt.Errorf("rank %d: reopened bounds %s, want %s", c.Rank(), got, want)
+				}
+				return f.Close()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -35,11 +35,9 @@ type CollectiveBenchResult struct {
 	HedgeWinRate float64 `json:"hedge_win_rate,omitempty"`
 
 	// Tiered-cache rows only (TieredCacheBench): server reads the warm
-	// pass still issued, bytes promoted back from the spill tier, and
-	// how often the adaptive controller re-derived the sieve/read-ahead.
+	// pass still issued and bytes promoted back from the spill tier.
 	WarmReads     int64 `json:"warm_reads,omitempty"`
 	SpillPromoted int64 `json:"spill_promoted,omitempty"`
-	Retunes       int64 `json:"retunes,omitempty"`
 
 	// Placement rows only (PlacementBench): elected per-region flush
 	// sweeps and how much of the aggregation exchange stayed on the
@@ -143,16 +141,16 @@ func ReadCacheBench(sc Scale) ([]CollectiveBenchResult, error) {
 // policy and returns the warm-pass throughput rows for the artifact:
 // "e23/ram-only" (the scan wraps past the LRU budget and re-pays the
 // servers), "e23/spill" (evictions demote to the local slab file, the
-// re-read promotes back), and "e23/spill+adaptive" (plus the
-// histogram-driven sieve/read-ahead controller). WriteMS is zero — the
-// passes are read-only.
+// re-read promotes back), and "e23/spill+read-ahead" (plus four sieve
+// blocks of static read-ahead). WriteMS is zero — the passes are
+// read-only.
 func TieredCacheBench(sc Scale) ([]CollectiveBenchResult, error) {
 	n := sc.pick(512, 2048)
 	const servers = 8
 	stripe := int64(512)
 	bytesMoved := float64(n) * 32 * 8
 	var out []CollectiveBenchResult
-	for _, cfg := range e23Configs() {
+	for _, cfg := range e23Configs(stripe) {
 		ps, err := e23Run(n, servers, stripe, cfg, 2)
 		if err != nil {
 			return nil, fmt.Errorf("e23/%s: %w", cfg.name, err)
@@ -165,7 +163,6 @@ func TieredCacheBench(sc Scale) ([]CollectiveBenchResult, error) {
 			Seeks:         warm.Seeks,
 			WarmReads:     warm.Reads,
 			SpillPromoted: warm.Cache.SpillPromoted,
-			Retunes:       warm.Cache.Retunes,
 		})
 	}
 	return out, nil

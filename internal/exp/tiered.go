@@ -16,39 +16,29 @@ import (
 // RAM-only cache re-pays the full server bill (2 ms seeks, real time)
 // on every pass. With a spill tier the same evictions DEMOTE to a
 // local slab file instead, and the re-read promotes from local disk
-// without touching a server. The third config adds the adaptive
-// controller, which re-derives the sieve block and read-ahead from the
-// observed request-size histogram and sequentiality instead of the
-// static stripe-derived defaults.
+// without touching a server. The third config adds static read-ahead
+// of four sieve blocks (one slab), which halves the cold pass's cache
+// misses: each miss prefetches the next slab of the forward scan.
 
 // DefaultSpillBytes is the spill-tier budget E23 uses for its spill
 // configs; 0 sizes it to the array (drxbench -spill overrides it).
 var DefaultSpillBytes int64
 
-// DefaultAdaptive forces the adaptive controller on in every cached
-// E23 config (drxbench -adaptive), collapsing the spill vs
-// spill+adaptive ablation into a tuned-only comparison.
-var DefaultAdaptive bool
-
 // e23Config is one tier-policy cell of the ablation.
 type e23Config struct {
-	name     string
-	spill    bool
-	adaptive bool
+	name      string
+	spill     bool
+	readAhead int64 // Tuning.ReadAheadBytes
 }
 
-func e23Configs() []e23Config {
-	cfgs := []e23Config{
-		{"ram-only", false, false},
-		{"spill", true, false},
-		{"spill+adaptive", true, true},
+// e23Configs returns the ablation's cells for a sieve block (the
+// stripe) of the given size.
+func e23Configs(sieve int64) []e23Config {
+	return []e23Config{
+		{"ram-only", false, 0},
+		{"spill", true, 0},
+		{"spill+read-ahead", true, 4 * sieve},
 	}
-	if DefaultAdaptive {
-		for i := range cfgs {
-			cfgs[i].adaptive = true
-		}
-	}
-	return cfgs
 }
 
 // e23Pass is the accounting of one scan pass.
@@ -84,10 +74,10 @@ func e23Run(n, servers int, stripe int64, cfg e23Config, passes int) ([]e23Pass,
 				Scheduler: pfs.Elevator,
 			},
 			Tuning: drxmp.Tuning{
-				Parallelism: -1, // serial: one vectored cached read per slab
-				CacheBytes:  arrayBytes / 4,
-				SpillBytes:  spillB,
-				AdaptiveIO:  cfg.adaptive,
+				Parallelism:    -1, // serial: one vectored cached read per slab
+				CacheBytes:     arrayBytes / 4,
+				SpillBytes:     spillB,
+				ReadAheadBytes: cfg.readAhead,
 			},
 		})
 		if err != nil {
@@ -128,9 +118,8 @@ func e23Run(n, servers int, stripe int64, cfg e23Config, passes int) ([]e23Pass,
 	return out, err
 }
 
-// E23TieredCache measures the spill tier and the adaptive controller
-// against the RAM-only cache of PR 5 on the oversized-working-set
-// re-read.
+// E23TieredCache measures the spill tier and static read-ahead against
+// the RAM-only cache on the oversized-working-set re-read.
 func E23TieredCache(sc Scale) []*report.Table {
 	n := sc.pick(512, 2048)
 	const servers = 8
@@ -141,9 +130,9 @@ func E23TieredCache(sc Scale) []*report.Table {
 		"E23: tiered-cache re-read of a working set 4x the memory budget, %d slab reads/pass, %dx32 f64, %d real-time servers (2 ms seeks)",
 		n/8, n, servers),
 		"config", "cold", "warm", "warm MB/s", "warm speedup", "warm srv reads",
-		"demoted/promoted", "spill hits", "retunes", "sieve/ra")
+		"demoted/promoted", "spill hits", "cold misses", "sieve/ra")
 	var baseWarm time.Duration
-	for _, cfg := range e23Configs() {
+	for _, cfg := range e23Configs(stripe) {
 		ps, err := e23Run(n, servers, stripe, cfg, 2)
 		if err != nil {
 			tbl.AddNote("%s: %v", cfg.name, err)
@@ -159,9 +148,9 @@ func E23TieredCache(sc Scale) []*report.Table {
 			report.Ratio(float64(baseWarm), float64(warm.Wall)),
 			warm.Reads,
 			fmt.Sprintf("%s/%s", report.Bytes(cs.SpillDemoted), report.Bytes(cs.SpillPromoted)),
-			cs.SpillHits, cs.Retunes,
+			cs.SpillHits, cold.Cache.Misses,
 			fmt.Sprintf("%s/%s", report.Bytes(cs.SieveSize), report.Bytes(cs.ReadAheadBytes)))
 	}
-	tbl.AddNote("shape check: the RAM-only warm pass re-pays the full server bill (the scan wraps past the LRU budget), the spill warm pass promotes from the local slab file instead — fewer server reads and >= 1.5x MB/s, the tiered-cache acceptance bar; the adaptive row retunes the sieve/read-ahead off the static defaults and its retune count goes quiet within the run")
+	tbl.AddNote("shape check: the RAM-only warm pass re-pays the full server bill (the scan wraps past the LRU budget), the spill warm pass promotes from the local slab file instead — fewer server reads and >= 1.5x MB/s, the tiered-cache acceptance bar; read-ahead halves the cold pass's cache misses")
 	return []*report.Table{tbl}
 }

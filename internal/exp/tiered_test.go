@@ -40,27 +40,25 @@ func TestE23SpillBeatsRAMOnlyWarmReread(t *testing.T) {
 	}
 }
 
-// TestE23AdaptiveConvergesWithinRun pins the adaptive controller's
-// behavior: over a three-pass run it retunes at least once off the
-// static defaults, and its final pass applies no further retunes — the
-// recommendation went quiet, the convergence signal.
-func TestE23AdaptiveConvergesWithinRun(t *testing.T) {
+// TestE23ReadAheadHalvesColdMisses pins what static read-ahead buys
+// the forward scan: a slab is four sieve blocks, so with
+// ReadAheadBytes at four blocks every cold miss also prefetches the
+// next slab, and the cold pass misses exactly half as often as spill
+// alone (32 vs 64 at n=512). The counts are deterministic: the scan is
+// serial, and a prefetched slab is read before it can be evicted.
+func TestE23ReadAheadHalvesColdMisses(t *testing.T) {
 	const n, servers = 512, 8
 	stripe := int64(512)
-	ps, err := e23Run(n, servers, stripe, e23Config{name: "spill+adaptive", spill: true, adaptive: true}, 3)
-	if err != nil {
-		t.Fatal(err)
+	cold := map[string]int64{}
+	for _, cfg := range e23Configs(stripe)[1:] {
+		ps, err := e23Run(n, servers, stripe, cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold[cfg.name] = ps[0].Cache.Misses
 	}
-	last, prev := ps[2].Cache, ps[1].Cache
-	if last.Retunes < 1 {
-		t.Fatalf("adaptive controller never retuned: %+v", last)
-	}
-	if last.Retunes != prev.Retunes {
-		t.Fatalf("controller still retuning in the final pass (%d -> %d); did not converge",
-			prev.Retunes, last.Retunes)
-	}
-	if last.SieveSize == stripe && last.ReadAheadBytes == 0 {
-		t.Fatalf("effective knobs never moved off the static defaults: sieve=%d ra=%d",
-			last.SieveSize, last.ReadAheadBytes)
+	if cold["spill"] != 64 || cold["spill+read-ahead"] != 32 {
+		t.Fatalf("cold-pass misses: spill %d, spill+read-ahead %d; want 64 and 32",
+			cold["spill"], cold["spill+read-ahead"])
 	}
 }

@@ -121,14 +121,6 @@ type TuningKnobs struct {
 	// Meaningful only with SpillBytes > 0.
 	SpillPath string
 
-	// AdaptiveIO enables the histogram-driven controller: every few
-	// cache misses the effective SieveSize/ReadAhead are re-derived
-	// from the observed server request-size distribution and read
-	// sequentiality (internal/tune), overriding the static values
-	// above. Meaningful only with CacheBytes > 0; every rank must use
-	// the same value.
-	AdaptiveIO bool
-
 	// Placement selects the aggregation-domain carving policy of the
 	// two-phase collective (internal/place). Open installs
 	// place.ByteCyclic, the stripe arithmetic of the ROMIO-style
@@ -164,14 +156,13 @@ func (f *File) cacheConfig() cacheConfig {
 		readAhead:  f.ReadAhead,
 		spillBytes: f.SpillBytes,
 		spillPath:  f.SpillPath,
-		adaptive:   f.AdaptiveIO,
 	}
 }
 
 // cache returns the file's shared extent cache, creating it (and
 // registering its flush with the store's Close) on first use, and
 // re-applies this handle's policy knobs (CacheBytes/SieveSize/
-// ReadAhead/SpillBytes/SpillPath/AdaptiveIO — shared state, so every
+// ReadAhead/SpillBytes/SpillPath — shared state, so every
 // rank must use the same values). Every handle on the same store
 // resolves to the same cache.
 func (f *File) cache() *fileCache {

@@ -7,7 +7,6 @@ import (
 	"drxmp/internal/extent"
 	"drxmp/internal/pfs"
 	"drxmp/internal/spill"
-	"drxmp/internal/tune"
 )
 
 // Unified per-file extent cache: the write-behind machinery of PR 4
@@ -74,13 +73,6 @@ import (
 // and flush in the same vectored FlushV sweep as the memory tier's
 // (CollectDirty reads them back, MarkClean settles them by entry id so
 // a mid-sweep punch keeps its remainder dirty).
-//
-// Adaptive tuning (Tuning.AdaptiveIO): every tuneEvery cache misses
-// the controller re-derives the effective sieve block and read-ahead
-// from the window of server request sizes (pfs.Hist quantiles) and
-// request sequentiality observed since the last retune
-// (internal/tune.Recommend), overriding the configured base values
-// until the next Configure turns it off.
 
 // cext is one cached byte range and its buffered data
 // (len(data) == length of the range).
@@ -116,11 +108,8 @@ type CacheStats struct {
 	SpillUsed     int64 // gauge: live spilled bytes right now
 	SpillDirty    int64 // gauge: dirty spilled bytes right now
 
-	// Adaptive controller (Retunes stays zero when Tuning.AdaptiveIO is
-	// off; the gauges always report the effective values).
-	Retunes        int64 // adaptive sieve/read-ahead re-derivations applied
-	SieveSize      int64 // gauge: effective sieve block size
-	ReadAheadBytes int64 // gauge: effective read-ahead
+	SieveSize      int64 // gauge: sieve block size in effect
+	ReadAheadBytes int64 // gauge: read-ahead in effect
 }
 
 // Sub returns s - t field-wise for the cumulative counters; the gauges
@@ -147,7 +136,6 @@ func (s CacheStats) Sub(t CacheStats) CacheStats {
 		SpillUsed:     s.SpillUsed,
 		SpillDirty:    s.SpillDirty,
 
-		Retunes:        s.Retunes - t.Retunes,
 		SieveSize:      s.SieveSize,
 		ReadAheadBytes: s.ReadAheadBytes,
 	}
@@ -189,38 +177,18 @@ type fileCache struct {
 	spillPath  string
 	spillErr   error
 
-	// Adaptive controller. adaptSieve/adaptRA override the configured
-	// base sieve/readAhead once adaptSet — the base values survive, so
-	// turning the controller off restores them. The windows (tunedReq,
-	// seqReads/randReads) reset at every retune.
-	adaptive   bool
-	adaptSet   bool
-	adaptSieve int64
-	adaptRA    int64
-	missTune   int      // cache misses since the last retune
-	tunedReq   pfs.Hist // server ReqSizes snapshot at the last retune
-	seqReads   int64    // window: reads continuing the previous request
-	randReads  int64    // window: reads that jumped
-	lastEnd    int64    // end offset of the last ReadThrough request
-
 	stats CacheStats
 }
-
-// tuneEvery is the adaptive controller's cadence: re-derive the sieve
-// and read-ahead every this many cache misses (hits carry no new
-// information about what the store is being asked for).
-const tuneEvery = 8
 
 // cacheConfig is the policy block Configure installs — the cache-side
 // projection of drxmp.Tuning. Handles re-apply it on every resolve;
 // every rank must agree (last writer wins).
 type cacheConfig struct {
 	budget     int64 // memory budget; 0 disables clean caching
-	sieve      int64 // base sieve block; 0 = stripe size
-	readAhead  int64 // base read-ahead; 0 = none
+	sieve      int64 // sieve block; 0 = stripe size
+	readAhead  int64 // read-ahead; 0 = none
 	spillBytes int64 // spill-tier budget; 0 disables the tier
 	spillPath  string
-	adaptive   bool
 }
 
 func newFileCache(fs *pfs.FS) *fileCache {
@@ -285,10 +253,6 @@ func (w *fileCache) Configure(cfg cacheConfig) {
 	defer w.mu.Unlock()
 	budget := cfg.budget
 	w.budget, w.sieve, w.readAhead = cfg.budget, cfg.sieve, cfg.readAhead
-	if !cfg.adaptive && w.adaptive {
-		w.adaptSet = false // controller off: back to the base values
-	}
-	w.adaptive = cfg.adaptive
 	if cfg.spillBytes != w.spillBytes || cfg.spillPath != w.spillPath {
 		w.spillErr = nil // config changed: a failed open may retry
 		if w.spill != nil && w.spill.Dirty() == 0 {
@@ -335,26 +299,13 @@ func (w *fileCache) SpillErr() error {
 	return w.spillErr
 }
 
-// sieveSize resolves the effective sieve block granularity (the
-// adaptive override when set, else the configured base, else the
-// stripe size). Must be called with w.mu held.
+// sieveSize resolves the sieve block granularity (the configured
+// value, else the stripe size). Must be called with w.mu held.
 func (w *fileCache) sieveSize() int64 {
-	if w.adaptSet && w.adaptSieve > 0 {
-		return w.adaptSieve
-	}
 	if w.sieve > 0 {
 		return w.sieve
 	}
 	return w.fs.StripeSize()
-}
-
-// readAheadSize resolves the effective read-ahead. Must be called with
-// w.mu held.
-func (w *fileCache) readAheadSize() int64 {
-	if w.adaptSet {
-		return w.adaptRA
-	}
-	return w.readAhead
 }
 
 // Bytes returns the currently buffered dirty bytes — BOTH tiers, so
@@ -378,14 +329,14 @@ func (w *fileCache) Cached() int64 {
 }
 
 // Stats returns a snapshot of the cumulative cache accounting, with
-// the gauge fields (spill occupancy, effective sieve/read-ahead)
+// the gauge fields (spill occupancy, sieve/read-ahead in effect)
 // filled from the current state.
 func (w *fileCache) Stats() CacheStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	st := w.stats
 	st.SieveSize = w.sieveSize()
-	st.ReadAheadBytes = w.readAheadSize()
+	st.ReadAheadBytes = w.readAhead
 	if w.spill != nil {
 		st.SpillUsed = w.spill.Used()
 		st.SpillDirty = w.spill.Dirty()
@@ -636,18 +587,11 @@ func (w *fileCache) flush(sel flushSel) error {
 		// vectored FlushV).
 		return w.flushCleanLocked(victims, sel.owned) // unlocks w.mu
 	}
-	keep := make([]*cext, 0, len(w.ext)-len(victims))
-	vi := 0
-	for _, e := range w.ext {
-		if vi < len(victims) && victims[vi] == e {
-			w.dirty -= int64(len(e.data))
-			w.total -= int64(len(e.data))
-			vi++
-		} else {
-			keep = append(keep, e)
-		}
+	for _, e := range victims {
+		w.dirty -= int64(len(e.data))
+		w.total -= int64(len(e.data))
 	}
-	w.ext = keep
+	w.dropLocked(victims)
 	if len(victims) > 0 {
 		w.stats.Flushes++
 	}
@@ -787,6 +731,41 @@ func (w *fileCache) flushExtents(ext []*cext, chunks []spill.Chunk) error {
 	return err
 }
 
+// lruLocked returns the extents of one color, least recently used
+// first. Must be called with w.mu held.
+func (w *fileCache) lruLocked(dirty bool) []*cext {
+	out := make([]*cext, 0, len(w.ext))
+	for _, e := range w.ext {
+		if e.dirty == dirty {
+			out = append(out, e)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].use < out[j].use })
+	return out
+}
+
+// dropLocked removes victims from the extent list; their byte
+// accounting is the caller's. The list is compacted in place, and the
+// vacated tail is cleared so the backing array does not keep the
+// dropped extents' buffers alive. Must be called with w.mu held.
+func (w *fileCache) dropLocked(victims []*cext) {
+	if len(victims) == 0 {
+		return
+	}
+	drop := make(map[*cext]bool, len(victims))
+	for _, e := range victims {
+		drop[e] = true
+	}
+	keep := w.ext[:0]
+	for _, e := range w.ext {
+		if !drop[e] {
+			keep = append(keep, e)
+		}
+	}
+	clear(w.ext[len(keep):])
+	w.ext = keep
+}
+
 // evictCleanLocked removes clean extents in LRU order until the cache
 // fits its budget (or only dirty extents remain): one sorted pass over
 // the clean extents and one slice rebuild, so a large over-budget
@@ -800,15 +779,8 @@ func (w *fileCache) evictCleanLocked() {
 	if w.budget <= 0 || w.total <= w.budget {
 		return
 	}
-	clean := make([]*cext, 0, len(w.ext))
-	for _, e := range w.ext {
-		if !e.dirty {
-			clean = append(clean, e)
-		}
-	}
-	sort.Slice(clean, func(i, j int) bool { return clean[i].use < clean[j].use })
-	drop := make(map[*cext]bool, len(clean))
-	for _, e := range clean {
+	var victims []*cext
+	for _, e := range w.lruLocked(false) {
 		if w.total <= w.budget {
 			break
 		}
@@ -822,24 +794,19 @@ func (w *fileCache) evictCleanLocked() {
 				w.stats.SpillRejected++
 			}
 		}
-		drop[e] = true
+		victims = append(victims, e)
 	}
-	if len(drop) == 0 {
-		return
-	}
-	keep := w.ext[:0]
-	for _, e := range w.ext {
-		if !drop[e] {
-			keep = append(keep, e)
-		}
-	}
-	w.ext = keep
+	w.dropLocked(victims)
 }
 
 // EnforceBudget brings the cache back under its memory budget: clean
-// extents evict LRU-first; if the dirty bytes alone exceed the budget,
-// the least-recently-used dirty extents flush-on-evict as one vectored
-// FlushV sweep and then leave as clean. Growth paths (Absorb sequences,
+// extents evict LRU-first. If the dirty bytes alone still exceed the
+// budget, one walk over the dirty extents, LRU-first, frees the rest:
+// with the spill tier on, each extent demotes to local disk until the
+// tier refuses one (write-behind keeps buffering far past RAM, and the
+// flush sweep reads the bytes back from the spill file); every later
+// extent the budget still needs flushes-on-evict as one vectored FlushV
+// sweep and then leaves as clean. Growth paths (Absorb sequences,
 // ReadThrough inserts) call it after releasing mu.
 func (w *fileCache) EnforceBudget() error {
 	w.mu.Lock()
@@ -848,69 +815,42 @@ func (w *fileCache) EnforceBudget() error {
 		return nil
 	}
 	w.evictCleanLocked()
-	// Dirty bytes alone exceed the memory budget: with the spill tier
-	// on, demote LRU dirty extents to local disk first — write-behind
-	// keeps buffering far past RAM and the flush sweep reads them back
-	// from the spill file — falling back to flush-on-evict for whatever
-	// the spill tier cannot take (its budget may itself be full of
-	// dirty bytes, which it never drops).
-	if w.spill != nil && w.total > w.budget {
-		var dirtyExts []*cext
-		for _, e := range w.ext {
-			if e.dirty {
-				dirtyExts = append(dirtyExts, e)
-			}
-		}
-		sort.Slice(dirtyExts, func(i, j int) bool { return dirtyExts[i].use < dirtyExts[j].use })
-		demoted := make(map[*cext]bool, len(dirtyExts))
-		for _, e := range dirtyExts {
-			if w.total <= w.budget {
-				break
-			}
-			n := int64(len(e.data))
-			if !w.spill.Put(e.off, e.data, true) {
-				w.stats.SpillRejected++
-				break
-			}
-			w.stats.SpillDemoted += n
-			w.total -= n
-			w.dirty -= n
-			demoted[e] = true
-		}
-		if len(demoted) > 0 {
-			keep := w.ext[:0]
-			for _, e := range w.ext {
-				if !demoted[e] {
-					keep = append(keep, e)
-				}
-			}
-			w.ext = keep
-		}
-	}
 	over := w.total > w.budget
 	w.mu.Unlock()
 	if !over {
 		return nil
 	}
-	// Dirty bytes alone exceed the budget: flush-on-evict.
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.mu.Lock()
-	var dirtyExts []*cext
-	for _, e := range w.ext {
-		if e.dirty {
-			dirtyExts = append(dirtyExts, e)
-		}
-	}
-	sort.Slice(dirtyExts, func(i, j int) bool { return dirtyExts[i].use < dirtyExts[j].use })
-	var victims []*cext
+	demote := w.spill != nil
+	var demoted, victims []*cext
 	var vbytes int64
-	for _, e := range dirtyExts {
+	for _, e := range w.lruLocked(true) {
 		if w.total-vbytes <= w.budget {
 			break
 		}
+		n := int64(len(e.data))
+		if demote && w.spill.Put(e.off, e.data, true) {
+			w.stats.SpillDemoted += n
+			w.total -= n
+			w.dirty -= n
+			demoted = append(demoted, e)
+			continue
+		}
+		if demote {
+			// The spill tier may itself be full of dirty bytes, which it
+			// never drops: flush-on-evict takes everything from here on.
+			w.stats.SpillRejected++
+			demote = false
+		}
 		victims = append(victims, e)
-		vbytes += int64(len(e.data))
+		vbytes += n
+	}
+	w.dropLocked(demoted)
+	if len(victims) == 0 {
+		w.mu.Unlock()
+		return nil
 	}
 	w.stats.FlushEvicted += vbytes
 	return w.flushCleanLocked(victims, nil) // unlocks w.mu; evicts the marked-clean victims
@@ -939,14 +879,6 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 	genStart := w.gen
 	w.clock++
 	stamp := w.clock
-	if w.adaptive && len(runs) > 0 {
-		if runs[0].Off == w.lastEnd {
-			w.seqReads++
-		} else {
-			w.randReads++
-		}
-		w.lastEnd = runs[len(runs)-1].Off + runs[len(runs)-1].Len
-	}
 	var promoted bool
 	if w.spill != nil {
 		var hitSpill int64
@@ -1006,14 +938,8 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 	for _, h := range holes {
 		w.stats.MissBytes += h.n
 	}
-	if w.adaptive {
-		w.missTune++
-		if w.missTune >= tuneEvery {
-			w.retuneLocked()
-		}
-	}
 	sieve := w.sieveSize()
-	ra := w.readAheadSize()
+	ra := w.readAhead
 	// The fetch plan: the holes' sieve-aligned covering blocks plus the
 	// read-ahead extension, CLIPPED against what the cache already
 	// holds — block rounding and read-ahead must never re-read bytes a
@@ -1202,36 +1128,4 @@ func (w *fileCache) promoteLocked(off, n, stamp int64) (int64, error) {
 		}
 	}
 	return overlap, nil
-}
-
-// retuneLocked is the adaptive controller: re-derive the effective
-// sieve block and read-ahead from the window of server request sizes
-// (pfs.Stats.ReqSizes, the per-server power-of-two histograms) and
-// request sequentiality observed since the last retune, and install
-// the recommendation as an override of the configured base values.
-// Called with w.mu held, every tuneEvery cache misses while AdaptiveIO
-// is on; a window too small to trust leaves the current values alone
-// (and keeps accumulating). A recommendation equal to what is already
-// in effect is not counted as a retune, so Retunes going quiet is the
-// convergence signal.
-func (w *fileCache) retuneLocked() {
-	w.missTune = 0
-	cur := w.fs.Stats().ReqSizes()
-	out, ok := tune.Recommend(tune.Input{
-		ReqSizes: cur.Sub(w.tunedReq),
-		Seq:      w.seqReads,
-		Rand:     w.randReads,
-		Stripe:   w.fs.StripeSize(),
-		Budget:   w.budget,
-	})
-	if !ok {
-		return
-	}
-	w.tunedReq = cur
-	w.seqReads, w.randReads = 0, 0
-	if out.Sieve == w.sieveSize() && out.ReadAhead == w.readAheadSize() {
-		return
-	}
-	w.adaptSieve, w.adaptRA, w.adaptSet = out.Sieve, out.ReadAhead, true
-	w.stats.Retunes++
 }

@@ -2,12 +2,14 @@ package mpiio
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"drxmp/internal/extent"
 	"drxmp/internal/pfs"
 )
 
@@ -209,15 +211,17 @@ func TestTieredBudgetAccountingUnderChurn(t *testing.T) {
 
 // TestTieredDifferentialAgainstRAMOnly drives an identical seeded
 // workload of absorbs, reads, flushes and budget sweeps through three
-// caches — spill off, spill on, spill + adaptive — over three
-// identically seeded stores. Every read and both end states must be
-// byte-identical: the tiers and the controller are pure policy, never
-// content. The spill-off cache must also finish with every spill and
-// retune counter at zero and its gauges at the configured statics —
-// with the new knobs off, the accounting is exactly the old stack's.
+// caches — spill off, spill on, spill + read-ahead of two sieve blocks
+// — over three identically seeded stores. Every read and both end
+// states must be byte-identical: the tiers and read-ahead are pure
+// policy, never content (read-ahead fetches are clipped against the
+// spill tier, so a stale store byte never shadows a spilled one). The
+// spill-off cache must also finish with every spill counter at zero
+// and its gauges at the configured statics — with the tier off, the
+// accounting is exactly the RAM-only stack's.
 func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 	const fileN = 4096
-	mk := func(name string, spillBytes int64, adaptive bool) (*pfs.FS, *fileCache) {
+	mk := func(name string, spillBytes, readAhead int64) (*pfs.FS, *fileCache) {
 		fs, err := pfs.Create(name, pfs.Options{Servers: 2, StripeSize: 128})
 		if err != nil {
 			t.Fatal(err)
@@ -231,18 +235,18 @@ func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := newFileCache(fs)
-		w.Configure(cacheConfig{budget: 1024, sieve: 256, spillBytes: spillBytes,
-			spillPath: filepath.Join(t.TempDir(), name+".dat"), adaptive: adaptive})
+		w.Configure(cacheConfig{budget: 1024, sieve: 256, readAhead: readAhead, spillBytes: spillBytes,
+			spillPath: filepath.Join(t.TempDir(), name+".dat")})
 		if err := w.SpillErr(); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { w.closeHook() })
 		return fs, w
 	}
-	fsA, base := mk("diff-ram", 0, false)
-	fsB, sp := mk("diff-spill", 8192, false)
-	fsC, ad := mk("diff-adaptive", 8192, true)
-	caches := []*fileCache{base, sp, ad}
+	fsA, base := mk("diff-ram", 0, 0)
+	fsB, sp := mk("diff-spill", 8192, 0)
+	fsC, ra := mk("diff-read-ahead", 8192, 512)
+	caches := []*fileCache{base, sp, ra}
 
 	rng := rand.New(rand.NewSource(23))
 	for step := 0; step < 300; step++ {
@@ -298,10 +302,102 @@ func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 	cs := base.Stats()
 	if cs.SpillDemoted != 0 || cs.SpillPromoted != 0 || cs.SpillHits != 0 ||
 		cs.SpillHitBytes != 0 || cs.SpillRejected != 0 || cs.SpillUsed != 0 ||
-		cs.SpillDirty != 0 || cs.Retunes != 0 {
-		t.Fatalf("spill-off cache shows tier/controller activity: %+v", cs)
+		cs.SpillDirty != 0 {
+		t.Fatalf("spill-off cache shows tier activity: %+v", cs)
 	}
 	if cs.SieveSize != 256 || cs.ReadAheadBytes != 0 {
 		t.Fatalf("spill-off gauges moved off the configured statics: sieve=%d ra=%d", cs.SieveSize, cs.ReadAheadBytes)
+	}
+	// The read-ahead leg really prefetched, and really hit the spill tier.
+	if rs, ss := ra.Stats(), sp.Stats(); rs.ReadAheadBytes != 512 || rs.SieveFetched <= ss.SieveFetched || rs.SpillHits == 0 {
+		t.Fatalf("read-ahead leg: ra=%d fetched %d (spill leg %d), spill hits %d",
+			rs.ReadAheadBytes, rs.SieveFetched, ss.SieveFetched, rs.SpillHits)
+	}
+}
+
+// TestTieredEnforceBudgetCounters pins EnforceBudget's mixed path:
+// one clean extent plus four dirty ones whose LRU order differs from
+// their offset order (the 512 extent is re-absorbed last), with the
+// dirty bytes alone at twice the memory budget. The spill tier is off,
+// has room for everything, or takes exactly one extent; each leg pins
+// which extents are evicted, demoted and flush-evicted, and every
+// deferred byte is on the store after FlushAll.
+func TestTieredEnforceBudgetCounters(t *testing.T) {
+	cases := []struct {
+		name       string
+		spillBytes int64
+		want       CacheStats // cumulative counters after EnforceBudget
+		dirty      int64      // Bytes(): dirty in both tiers
+		spilled    []pfs.Run  // spill-tier coverage after EnforceBudget
+	}{
+		{"spill-off", 0, CacheStats{Evicted: 768, FlushEvicted: 512, Flushes: 1}, 512, nil},
+		{"spill-room", 8192, CacheStats{Evicted: 256, SpillDemoted: 768}, 1024,
+			[]pfs.Run{{Off: 0, Len: 256}, {Off: 1024, Len: 256}, {Off: 2048, Len: 256}}},
+		{"spill-one-extent", 256, CacheStats{Evicted: 512, SpillDemoted: 768, SpillRejected: 1,
+			FlushEvicted: 256, Flushes: 1}, 512, []pfs.Run{{Off: 1024, Len: 256}}},
+	}
+	regions := []struct {
+		off int64
+		v   byte
+	}{{0, 1}, {512, 5}, {1024, 3}, {1536, 4}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fs, w, _ := tieredForTest(t, 512, c.spillBytes)
+			readRange(t, w, 2048, 256) // one clean sieve block
+			for _, r := range []struct {
+				off int64
+				v   byte
+			}{{0, 1}, {512, 2}, {1024, 3}, {1536, 4}, {512, 5}} {
+				w.Absorb(r.off, bytes.Repeat([]byte{r.v}, 256))
+			}
+			if err := w.EnforceBudget(); err != nil {
+				t.Fatal(err)
+			}
+			cs := w.Stats()
+			got := CacheStats{Evicted: cs.Evicted, SpillDemoted: cs.SpillDemoted,
+				SpillRejected: cs.SpillRejected, FlushEvicted: cs.FlushEvicted, Flushes: cs.Flushes}
+			if got != c.want {
+				t.Fatalf("counters = %+v, want %+v", got, c.want)
+			}
+			if w.Bytes() != c.dirty || w.Cached() != 512 {
+				t.Fatalf("Bytes() = %d, Cached() = %d; want %d, 512", w.Bytes(), w.Cached(), c.dirty)
+			}
+			// LRU, not offset order: the two most recently absorbed
+			// extents stay in memory, still dirty.
+			var mem []int64
+			for _, e := range w.ext {
+				if !e.dirty {
+					t.Fatalf("clean extent at %d left in memory", e.off)
+				}
+				mem = append(mem, e.off)
+			}
+			if fmt.Sprint(mem) != "[512 1536]" {
+				t.Fatalf("memory extents at %v, want [512 1536]", mem)
+			}
+			var spilled []pfs.Run
+			if w.spill != nil {
+				spilled = extent.Coalesce(w.spill.Coverage(nil))
+			}
+			if fmt.Sprint(spilled) != fmt.Sprint(c.spilled) {
+				t.Fatalf("spill tier covers %v, want %v", spilled, c.spilled)
+			}
+			if err := w.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range regions {
+				back := make([]byte, 256)
+				if _, err := fs.ReadAt(back, r.off); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(back, bytes.Repeat([]byte{r.v}, 256)) {
+					t.Fatalf("region at %d not durable after FlushAll", r.off)
+				}
+			}
+			back := make([]byte, 256)
+			if _, err := fs.ReadAt(back, 2048); err != nil {
+				t.Fatal(err)
+			}
+			wantPattern(t, back, 2048)
+		})
 	}
 }

@@ -48,9 +48,8 @@ func (h Hist) Counts() []int64 {
 // the first bucket at which the cumulative count reaches ceil(p * N).
 // p is clamped to [0, 1]; an empty histogram returns 0. This is the
 // resolution the power-of-two buckets afford — within a factor of two
-// of the exact order statistic — which is exactly enough for the
-// adaptive sieve controller, whose outputs are rounded to stripe
-// multiples anyway.
+// of the exact order statistic, enough for the report tables and the
+// benchmark's per-layer request-size and service-time quantiles.
 func (h Hist) Quantile(p float64) int64 {
 	total := h.Total()
 	if total == 0 {
